@@ -331,8 +331,9 @@ func run(ctx context.Context, o *options, out io.Writer) (err error) {
 }
 
 // replayFeed batch-ingests a TSV event feed through the same
-// WAL-acknowledged path HTTP ingestion uses. The sentinel @accesses
-// replays the dataset's own access log (CI drills and smoke runs).
+// WAL-acknowledged path HTTP ingestion uses, starting after the events
+// the daemon already applied. The sentinel @accesses replays the
+// dataset's own access log (CI drills and smoke runs).
 func replayFeed(d *daemon.Daemon, ds *trace.Dataset, o *options, out io.Writer) error {
 	var evs []daemon.Event
 	if o.feed == "@accesses" {
@@ -350,13 +351,18 @@ func replayFeed(d *daemon.Daemon, ds *trace.Dataset, o *options, out io.Writer) 
 			return fmt.Errorf("%s: %w", o.feed, err)
 		}
 	}
-	for i := 0; i < len(evs); i += o.feedBatch {
+	// A restarted daemon already holds a prefix of the feed (its
+	// checkpoint plus the WAL tail it recovered); resume after it
+	// instead of applying those events a second time. A feed no
+	// longer than that prefix has nothing new.
+	applied := min(d.Applied(), len(evs))
+	for i := applied; i < len(evs); i += o.feedBatch {
 		end := min(i+o.feedBatch, len(evs))
 		if err := d.Ingest(evs[i:end]); err != nil {
 			return fmt.Errorf("feed batch [%d:%d): %w", i, end, err)
 		}
 	}
-	fmt.Fprintf(out, "ingested %d events from %s\n", len(evs), o.feed)
+	fmt.Fprintf(out, "ingested %d events from %s (%d already applied)\n", len(evs)-applied, o.feed, applied)
 	return nil
 }
 

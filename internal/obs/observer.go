@@ -24,6 +24,12 @@ const (
 	MetricTriggers    = "replay_triggers_total"
 	MetricSnapshots   = "replay_snapshots_total"
 	MetricCheckpoints = "replay_checkpoints_total"
+	// Checkpoints split by kind (a full namespace dump or a delta
+	// against the previous checkpoint), and each checkpoint's bytes
+	// on disk apart from its state.json.
+	MetricCheckpointsFull  = "replay_checkpoints_full_total"
+	MetricCheckpointsDelta = "replay_checkpoints_delta_total"
+	MetricCheckpointBytes  = "replay_checkpoint_data_bytes"
 
 	MetricPurgeExamined    = "purge_examined_total"
 	MetricPurgedFiles      = "purge_purged_files_total"

@@ -25,7 +25,9 @@ package sim
 // scales with the mutation rate instead of the tree size. Loading a
 // delta walks the base chain back to the nearest full checkpoint and
 // replays upserts and deletions forward. Pruning protects the base
-// chain of every kept checkpoint.
+// chain of every kept checkpoint; the run holds those chains in memory
+// (every checkpoint it wrote, plus the chain it resumed from), so a
+// save never re-reads an older state.json.
 //
 // Checkpoints are taken right after a trigger's purge ran, so the
 // serialized state is exactly the uninterrupted run's state at that
@@ -38,10 +40,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"activedr/internal/activeness"
 	"activedr/internal/faults"
@@ -140,10 +144,13 @@ func (c Config) digestAt(version int) string {
 
 // saveCheckpoint writes one complete checkpoint for the trigger that
 // just fired at `at`, then atomically publishes it via LATEST and
-// prunes old ones. A crash at any point leaves either the previous or
-// the new checkpoint intact, never a torn one.
-func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *runState, at timeutil.Time) error {
-	dir := opts.CheckpointDir
+// prunes old ones. Every file and the checkpoint directory itself are
+// fsynced before the rename publishes them, so a crash at any point
+// leaves either the previous or the new checkpoint intact, never a
+// torn or zero-length one — the daemon prunes its WAL up to a
+// checkpoint as soon as this returns.
+func (s *Stream) saveCheckpoint(at timeutil.Time) error {
+	e, st, dir := s.e, s.st, s.opts.CheckpointDir
 	name := fmt.Sprintf("t%06d", st.triggers)
 	tmp := filepath.Join(dir, name+".tmp")
 	if err := os.RemoveAll(tmp); err != nil {
@@ -156,12 +163,23 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	// checkpoint to diff against (the daemon's manual Checkpoint can
 	// re-save under the same trigger count, which must not self-base).
 	kind := kindFull
-	if opts.CheckpointFullEvery > 1 && st.ckpts%opts.CheckpointFullEvery != 0 &&
+	if full := s.opts.CheckpointFullEvery; full > 1 && st.ckpts%full != 0 &&
 		st.lastCkpt != "" && st.lastCkpt != name {
 		kind = kindDelta
 	}
+	// dataBytes tallies every file but state.json, which cannot count
+	// itself: it carries the metrics snapshot this tally lands in.
+	var dataBytes int64
+	write := func(path string, fill func(io.Writer) error) error {
+		n, err := writeSynced(path, fill)
+		dataBytes += n
+		return err
+	}
+	snapshot := func(snap *trace.Snapshot) func(io.Writer) error {
+		return func(w io.Writer) error { return trace.WriteSnapshot(w, e.ds.Users, snap) }
+	}
 	if kind == kindFull {
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, fsFile), e.ds.Users, st.fsys.Snapshot(at)); err != nil {
+		if err := write(filepath.Join(tmp, fsFile), snapshot(st.fsys.Snapshot(at))); err != nil {
 			return fmt.Errorf("sim: checkpoint fs: %w", err)
 		}
 		st.fsys.TakeDirty() // a full snapshot resets the delta window
@@ -178,15 +196,15 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 				deleted = append(deleted, p)
 			}
 		}
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, deltaFile), e.ds.Users, upserts); err != nil {
+		if err := write(filepath.Join(tmp, deltaFile), snapshot(upserts)); err != nil {
 			return fmt.Errorf("sim: checkpoint delta: %w", err)
 		}
-		if err := writePathList(filepath.Join(tmp, deletedFile), deleted); err != nil {
+		if err := write(filepath.Join(tmp, deletedFile), func(w io.Writer) error { return writePathList(w, deleted) }); err != nil {
 			return fmt.Errorf("sim: checkpoint delta: %w", err)
 		}
 	}
 	if st.res.Captured != nil && (kind == kindFull || !st.capturedSaved) {
-		if err := trace.WriteSnapshotFile(filepath.Join(tmp, capturedFile), e.ds.Users, st.res.Captured.Snapshot(e.cfg.CaptureAt)); err != nil {
+		if err := write(filepath.Join(tmp, capturedFile), snapshot(st.res.Captured.Snapshot(e.cfg.CaptureAt))); err != nil {
 			return fmt.Errorf("sim: checkpoint captured: %w", err)
 		}
 	}
@@ -200,14 +218,20 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 			return fmt.Errorf("sim: checkpoint: %w", err)
 		}
 		for i := snapsFrom; i < len(st.res.Snapshots); i++ {
-			if err := trace.WriteSnapshotFile(filepath.Join(sd, seriesName(i)), e.ds.Users, st.res.Snapshots[i]); err != nil {
+			if err := write(filepath.Join(sd, seriesName(i)), snapshot(st.res.Snapshots[i])); err != nil {
 				return fmt.Errorf("sim: checkpoint snapshot %d: %w", i, err)
 			}
 		}
+		if err := fsx.SyncDir(sd); err != nil {
+			return fmt.Errorf("sim: checkpoint: %w", err)
+		}
 	}
+	// Counted before the snapshot is taken, like the checkpoint counter,
+	// so the persisted metrics include the checkpoint that carries them.
+	s.ro.noteCheckpoint(kind, dataBytes)
 	cs := checkpointState{
 		Version:       checkpointVersion,
-		Policy:        policy.Name(),
+		Policy:        s.policy.Name(),
 		Config:        e.cfg.digest(),
 		Kind:          kind,
 		Ckpts:         st.ckpts + 1,
@@ -231,20 +255,28 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	if kind == kindDelta {
 		cs.Base = st.lastCkpt
 	}
-	if opts.Faults != nil {
-		fs := opts.Faults.State()
+	if s.opts.Faults != nil {
+		fs := s.opts.Faults.State()
 		cs.Faults = &fs
 	}
-	if reg := opts.Obs.Registry(); reg != nil {
+	if reg := s.opts.Obs.Registry(); reg != nil {
 		snap := reg.Snapshot()
 		cs.Metrics = &snap
 	}
-	blob, err := json.MarshalIndent(&cs, "", " ")
+	// Compact JSON: readers never depended on the layout, and the
+	// indented form cost a second pass and 1.6 times the bytes.
+	blob, err := json.Marshal(&cs)
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint state: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(tmp, stateFile), blob, 0o644); err != nil {
+	if _, err := writeSynced(filepath.Join(tmp, stateFile), func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	}); err != nil {
 		return fmt.Errorf("sim: checkpoint state: %w", err)
+	}
+	if err := fsx.SyncDir(tmp); err != nil {
+		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
 	final := filepath.Join(dir, name)
 	// A stale directory with this trigger count can linger from a
@@ -266,32 +298,83 @@ func (e *Emulator) saveCheckpoint(opts RunOptions, policy retention.Policy, st *
 	st.lastCkpt = name
 	st.snapsSaved = len(st.res.Snapshots)
 	st.capturedSaved = st.res.Captured != nil
-	pruneCheckpoints(dir, keepCheckpoints)
+	if st.ckptBases == nil {
+		st.ckptBases = make(map[string]string)
+	}
+	st.ckptBases[name] = cs.Base
+	pruneCheckpoints(dir, keepCheckpoints, st.ckptBases)
 	return nil
 }
 
-// writePathList persists a sorted newline-separated path list, gzip
-// compressed — the deletions side of a delta checkpoint.
-func writePathList(path string, paths []string) (err error) {
+// fileWriter is the buffered, optionally gzip-compressing writer one
+// checkpoint file goes through. Pooled: a fresh flate compressor
+// allocates about 1 MB, and a run writes three or more files at every
+// checkpoint, which made compressor set-up half of a daemon's
+// allocation volume.
+type fileWriter struct {
+	bw *bufio.Writer
+	zw *gzip.Writer
+}
+
+var fileWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is a valid constant
+	return &fileWriter{bw: bufio.NewWriterSize(nil, 64<<10), zw: zw}
+}}
+
+// writeSynced creates path, lets fill write its content (gzip
+// compressed when the name ends in .gz) and fsyncs it before closing:
+// the rename that publishes a checkpoint must never expose a file
+// whose data is still only in the page cache. Returns the bytes on
+// disk.
+func writeSynced(path string, fill func(io.Writer) error) (n int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer func() {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}()
-	zw := gzip.NewWriter(f)
-	for _, p := range paths {
-		if _, err := zw.Write([]byte(p)); err != nil {
-			return err
-		}
-		if _, err := zw.Write([]byte{'\n'}); err != nil {
-			return err
+	fw := fileWriters.Get().(*fileWriter)
+	defer fileWriters.Put(fw)
+	fw.bw.Reset(f)
+	var w io.Writer = fw.bw
+	gz := strings.HasSuffix(path, ".gz")
+	if gz {
+		fw.zw.Reset(fw.bw)
+		w = fw.zw
+	}
+	if err := fill(w); err != nil {
+		return 0, err
+	}
+	if gz {
+		if err := fw.zw.Close(); err != nil {
+			return 0, err
 		}
 	}
-	return zw.Close()
+	if err := fw.bw.Flush(); err != nil {
+		return 0, err
+	}
+	if err := fsx.SyncFile(f); err != nil {
+		return 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
+// writePathList writes a newline-separated path list — the deletions
+// side of a delta checkpoint.
+func writePathList(w io.Writer, paths []string) error {
+	var buf []byte
+	for _, p := range paths {
+		buf = append(append(buf, p...), '\n')
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // readPathList reads a writePathList file.
@@ -327,10 +410,13 @@ func seriesName(i int) string { return fmt.Sprintf("s%05d.tsv.gz", i) }
 
 // pruneCheckpoints removes all but the newest keep checkpoint
 // directories, never touching a checkpoint some kept checkpoint's
-// delta chain still bases on. Best-effort: pruning failures (or an
-// unreadable kept state, which makes the chain unknowable) never fail
-// the run — they just skip the prune.
-func pruneCheckpoints(dir string, keep int) {
+// delta chain still bases on. The chains come from bases — name to
+// base, "" for a full checkpoint — which the run keeps in memory for
+// every checkpoint it wrote or loaded, so pruning reads no state.json.
+// Best-effort: a kept checkpoint the run never saw (its chain
+// unknowable) skips the prune, and removal failures never fail the
+// run.
+func pruneCheckpoints(dir string, keep int, bases map[string]string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -348,34 +434,21 @@ func pruneCheckpoints(dir string, keep int) {
 	}
 	protected := make(map[string]bool)
 	for _, n := range names[len(names)-keep:] {
-		protected[n] = true
-	}
-	// Follow every kept checkpoint's base chain; each link is needed
-	// to reconstruct the one above it.
-	for _, n := range names[len(names)-keep:] {
-		cur := n
-		for hops := 0; hops < maxDeltaChain; hops++ {
-			blob, err := os.ReadFile(filepath.Join(dir, cur, stateFile))
-			if err != nil {
-				return // chain unknowable: keep everything
-			}
-			var cs struct {
-				Kind string `json:"kind"`
-				Base string `json:"base"`
-			}
-			if err := json.Unmarshal(blob, &cs); err != nil {
+		// Follow the base chain; each link is needed to reconstruct
+		// the one above it.
+		for cur := n; cur != "" && !protected[cur]; {
+			base, known := bases[cur]
+			if !known {
 				return
 			}
-			if cs.Kind != kindDelta || cs.Base == "" || protected[cs.Base] {
-				break
-			}
-			protected[cs.Base] = true
-			cur = cs.Base
+			protected[cur] = true
+			cur = base
 		}
 	}
 	for _, n := range names {
 		if !protected[n] {
 			os.RemoveAll(filepath.Join(dir, n))
+			delete(bases, n)
 		}
 	}
 }
@@ -598,6 +671,15 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		lastCkpt:      name,
 		snapsSaved:    cs.NumSnapshots,
 		capturedSaved: cs.HasCaptured,
+		ckptBases:     make(map[string]string, len(chain)),
+	}
+	// The chain just walked is what later prunes must protect; its
+	// tail is full, every other member bases on the next one.
+	for i, n := range chain {
+		st.ckptBases[n] = ""
+		if i+1 < len(chain) {
+			st.ckptBases[n] = chain[i+1]
+		}
 	}
 	st.ranker = func(at timeutil.Time) []activeness.Rank {
 		return st.cursors.EvaluateAll(e.users, at)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,28 +10,55 @@ import (
 
 	"activedr/internal/faults"
 	"activedr/internal/fsx"
+	"activedr/internal/timeutil"
 )
 
 // TestLatestPointerDurability pins the checkpoint publish protocol to
-// real durability barriers: the data files and the LATEST pointer must
-// be fsynced (file and parent directory) before they are visible, so a
-// power cut after publish can never resurrect a stale pointer.
+// real durability barriers: every data file and directory of a
+// checkpoint must be fsynced before the rename that publishes it, the
+// rename itself (parent directory) after it, and the LATEST pointer
+// (file and parent directory), so a power cut after publish can never
+// resurrect a stale pointer or expose a zero-length file the pruned
+// WAL can no longer rebuild. Full and delta checkpoints, the CaptureAt
+// sidecar and the snapshot series all count.
 func TestLatestPointerDurability(t *testing.T) {
 	ds := tinyDataset()
-	em, err := New(ds, Config{TargetUtilization: 0.5})
+	em, err := New(ds, Config{TargetUtilization: 0.5, CaptureAt: timeutil.Date(2016, 2, 1), SnapshotEvery: timeutil.Days(28)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	before := fsx.SyncCount()
-	if _, err := em.RunWith(em.NewFLT(), RunOptions{CheckpointDir: dir, StopAfterTriggers: 2}); !errors.Is(err, ErrInterrupted) {
+	last := fsx.SyncCount()
+	published := 0
+	barriers := func(int) {
+		published++
+		name, err := readLatest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One fsync per file and directory in the checkpoint (the
+		// directory itself included), then the rename's parent and
+		// the LATEST file and its parent.
+		want := int64(3)
+		if err := filepath.WalkDir(filepath.Join(dir, name), func(_ string, _ fs.DirEntry, err error) error {
+			want++
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		now := fsx.SyncCount()
+		if got := now - last; got != want {
+			t.Errorf("checkpoint %s: %d fsync barriers, want %d", name, got, want)
+		}
+		last = now
+	}
+	if _, err := em.RunWith(em.NewFLT(), RunOptions{
+		CheckpointDir: dir, CheckpointFullEvery: 3, StopAfterTriggers: 12, OnCheckpoint: barriers,
+	}); !errors.Is(err, ErrInterrupted) {
 		t.Fatal(err)
 	}
-	// Two checkpoints; each publish must fence at least the renamed
-	// checkpoint dir (target-dir sync) and the LATEST replacement
-	// (file sync + dir sync).
-	if n := fsx.SyncCount() - before; n < 6 {
-		t.Fatalf("only %d fsync barriers issued across two checkpoint publishes", n)
+	if published != 12 {
+		t.Fatalf("%d checkpoints published, want 12", published)
 	}
 
 	name, err := readLatest(dir)

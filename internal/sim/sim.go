@@ -341,6 +341,10 @@ type runState struct {
 	lastCkpt      string
 	snapsSaved    int
 	capturedSaved bool
+	// ckptBases maps every checkpoint this run wrote or resumed from
+	// to its delta base ("" for a full one): the chains pruning must
+	// protect, held in memory so a save reads nothing back from disk.
+	ckptBases map[string]string
 	// cursors memoizes each user's activity position across the run's
 	// monotone trigger times; it is per-run state (not shared), so
 	// parallel runs off one emulator stay independent.
@@ -411,6 +415,9 @@ type runObs struct {
 	triggers  *obs.Counter
 	snaps     *obs.Counter
 	ckpts     *obs.Counter
+	ckptFull  *obs.Counter
+	ckptDelta *obs.Counter
+	ckptBytes *obs.Histogram
 	missSize  *obs.Histogram
 	freedPct  *obs.Histogram
 }
@@ -428,6 +435,9 @@ func newRunObs(o *obs.Observer) runObs {
 		triggers:  reg.Counter(obs.MetricTriggers),
 		snaps:     reg.Counter(obs.MetricSnapshots),
 		ckpts:     reg.Counter(obs.MetricCheckpoints),
+		ckptFull:  reg.Counter(obs.MetricCheckpointsFull),
+		ckptDelta: reg.Counter(obs.MetricCheckpointsDelta),
+		ckptBytes: reg.Histogram(obs.MetricCheckpointBytes, 16<<10, 64<<10, 256<<10, 1<<20, 4<<20, 16<<20, 64<<20),
 		missSize:  reg.Histogram(obs.MetricMissSizeBytes, 1<<10, 1<<20, 1<<30, 1<<40),
 		freedPct:  reg.Histogram(obs.MetricTriggerFreed, 0, 25, 50, 75, 90, 99, 100),
 	}
@@ -476,6 +486,17 @@ func (ro *runObs) noteTrigger(rep *retention.Report, seq int64) {
 		PurgedByGroup: groups,
 		AffectedUsers: int64(len(rep.AffectedIDs)),
 	})
+}
+
+// noteCheckpoint counts one checkpoint by kind with the bytes of its
+// namespace and sidecar files.
+func (ro *runObs) noteCheckpoint(kind string, dataBytes int64) {
+	if kind == kindFull {
+		ro.ckptFull.Inc()
+	} else {
+		ro.ckptDelta.Inc()
+	}
+	ro.ckptBytes.Observe(dataBytes)
 }
 
 // noteMiss records one file miss on the counters and the event

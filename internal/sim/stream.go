@@ -163,18 +163,8 @@ func (s *Stream) fireTriggers(ts timeutil.Time) error {
 		s.trigger(at)
 		st.nextTrigger = at.Add(s.e.cfg.TriggerInterval)
 		if s.opts.CheckpointDir != "" && st.triggers%s.every == 0 {
-			// The counter increments before the save so the persisted
-			// snapshot counts the checkpoint that carries it; resumed
-			// and uninterrupted runs then agree on the final value.
-			s.ro.ckpts.Inc()
-			stopCkpt := s.opts.Obs.StartPhase("checkpoint")
-			err := s.e.saveCheckpoint(s.opts, s.policy, st, at)
-			stopCkpt()
-			if err != nil {
+			if err := s.checkpoint(at); err != nil {
 				return err
-			}
-			if s.opts.OnCheckpoint != nil {
-				s.opts.OnCheckpoint(st.cursor)
 			}
 			// Crash rehearsal: a configured kill point right after the
 			// publish dies exactly where a real preemption would, with
@@ -251,9 +241,19 @@ func (s *Stream) Checkpoint(at timeutil.Time) error {
 	if s.opts.CheckpointDir == "" {
 		return errors.New("sim: Checkpoint requires RunOptions.CheckpointDir")
 	}
+	return s.checkpoint(at)
+}
+
+// checkpoint saves and publishes one checkpoint, timed as the
+// "checkpoint" phase, then hands the covered event count to
+// OnCheckpoint.
+func (s *Stream) checkpoint(at timeutil.Time) error {
+	// The counter increments before the save so the persisted
+	// snapshot counts the checkpoint that carries it; resumed and
+	// uninterrupted runs then agree on the final value.
 	s.ro.ckpts.Inc()
 	stopCkpt := s.opts.Obs.StartPhase("checkpoint")
-	err := s.e.saveCheckpoint(s.opts, s.policy, s.st, at)
+	err := s.saveCheckpoint(at)
 	stopCkpt()
 	if err != nil {
 		return err

@@ -618,6 +618,11 @@ func generatePublications(states []*userState, academics []trace.UserID, cfg Con
 			default:
 				n = 3
 			}
+			// A dataset with fewer academics than the draw asks for
+			// cannot fill the author list with distinct co-authors.
+			// Capping after the draws keeps every other dataset's
+			// random stream, and output, unchanged.
+			n = min(n, len(academics))
 			authors := []trace.UserID{st.id}
 			for len(authors) < n {
 				co := academics[src.Intn(len(academics))]

@@ -245,3 +245,38 @@ func TestExtraActivityTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateFewAcademicsTerminates: a dataset with fewer academics
+// (power users and scholars) than a publication's drawn author count
+// once spun forever looking for distinct co-authors. 60 users under
+// this seed is such a dataset.
+func TestGenerateFewAcademicsTerminates(t *testing.T) {
+	golden := uint64(0x9e3779b97f4a7c15)
+	cfg := Config{Seed: 2*golden + 1, Users: 60} // wraps, as a seed spread by the golden ratio does
+	done := make(chan *trace.Dataset, 1)
+	go func() {
+		d, err := Generate(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- d
+	}()
+	var d *trace.Dataset
+	select {
+	case d = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Generate did not return within 10s")
+	}
+	if d == nil {
+		return
+	}
+	for _, p := range d.Publications {
+		seen := make(map[trace.UserID]bool)
+		for _, a := range p.Authors {
+			if seen[a] {
+				t.Fatalf("publication at %v lists author %d twice", p.TS, a)
+			}
+			seen[a] = true
+		}
+	}
+}
