@@ -10,7 +10,6 @@
 package activedr_test
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -331,9 +330,9 @@ func BenchmarkSnapshotScan(b *testing.B) {
 // replayPolicy replays the whole evaluation year under one policy,
 // reporting allocations: this is the purge-trigger hot path the
 // incremental candidate index optimizes.
-func replayPolicy(b *testing.B, build func(em *sim.Emulator) retention.Policy, legacy bool) {
+func replayPolicy(b *testing.B, build func(em *sim.Emulator) retention.Policy) {
 	ds := benchDataset(b)
-	em, err := sim.New(ds, sim.Config{TargetUtilization: 0.5, LegacySelection: legacy})
+	em, err := sim.New(ds, sim.Config{TargetUtilization: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,20 +349,12 @@ func replayPolicy(b *testing.B, build func(em *sim.Emulator) retention.Policy, l
 	b.ReportMetric(float64(misses), "misses")
 }
 
-// BenchmarkReplayFLT measures the full-year FLT replay on the indexed
-// selection path.
+// BenchmarkReplayFLT measures the full-year FLT replay.
 func BenchmarkReplayFLT(b *testing.B) {
-	replayPolicy(b, func(em *sim.Emulator) retention.Policy { return em.NewFLT() }, false)
+	replayPolicy(b, func(em *sim.Emulator) retention.Policy { return em.NewFLT() })
 }
 
-// BenchmarkReplayFLTLegacy is the same replay on the legacy
-// namespace-walk selection path (the pre-index baseline).
-func BenchmarkReplayFLTLegacy(b *testing.B) {
-	replayPolicy(b, func(em *sim.Emulator) retention.Policy { return em.NewFLT() }, true)
-}
-
-// BenchmarkReplayActiveDR measures the full-year ActiveDR replay on
-// the indexed selection path.
+// BenchmarkReplayActiveDR measures the full-year ActiveDR replay.
 func BenchmarkReplayActiveDR(b *testing.B) {
 	replayPolicy(b, func(em *sim.Emulator) retention.Policy {
 		adr, err := em.NewActiveDR()
@@ -371,19 +362,7 @@ func BenchmarkReplayActiveDR(b *testing.B) {
 			b.Fatal(err)
 		}
 		return adr
-	}, false)
-}
-
-// BenchmarkReplayActiveDRLegacy is the same replay on the legacy
-// walk-per-trigger selection path.
-func BenchmarkReplayActiveDRLegacy(b *testing.B) {
-	replayPolicy(b, func(em *sim.Emulator) retention.Policy {
-		adr, err := em.NewActiveDR()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return adr
-	}, true)
+	})
 }
 
 // --- multiplexed sweep benchmarks (DESIGN.md §13) ---
@@ -464,40 +443,7 @@ func BenchmarkSweep4Multiplexed(b *testing.B) {
 	b.ReportMetric(4, "policies/pass")
 }
 
-// --- sharded namespace and snapfile benchmarks (DESIGN.md §15) ---
-
-// BenchmarkShardScaling replays the year over the user-hash-sharded
-// namespace at shard counts {1, 4, 16}; the shards=1 case goes
-// through the plain single tree (Config.Shards <= 1). Results are
-// bit-identical across the row — the equivalence suite pins that —
-// so the row isolates the layout's cost/benefit. On a single-core
-// host the interesting quantity is the overhead trend, not speedup;
-// cmd/bench records the trajectory either way.
-func BenchmarkShardScaling(b *testing.B) {
-	ds := benchDataset(b)
-	for _, shards := range []int{1, 4, 16} {
-		// key=value naming: check-bench.sh strips a trailing -N as the
-		// go-test cpu suffix, so a "shards-16" spelling would collapse
-		// the whole row into one bucket.
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			em, err := sim.New(ds, sim.Config{TargetUtilization: 0.5, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var misses int64
-			for i := 0; i < b.N; i++ {
-				res, err := em.Run(em.NewFLT())
-				if err != nil {
-					b.Fatal(err)
-				}
-				misses = res.TotalMisses
-			}
-			b.ReportMetric(float64(misses), "misses")
-		})
-	}
-}
+// --- snapfile benchmarks (DESIGN.md §15) ---
 
 // benchSnapfile writes the bench dataset's snapshot as a snapfile
 // once per process and returns its path.

@@ -14,12 +14,10 @@
 // pass costs roughly one replay instead of two. Not combinable with
 // -resume or -fault-kill, which need per-policy replay lifecycles.
 //
-// -shards N replays against a user-hash-sharded namespace (N
-// goroutine-owned subtrees, k-way-merged scans); results stay
-// bit-identical to the single tree. -vfs-snapshot-out writes the
-// initial file system as a compact binary snapfile; -vfs-snapshot
-// reopens one in place of the snapshot TSV, making startup an O(1)
-// open plus lazy decoding instead of a full re-parse.
+// -vfs-snapshot-out writes the initial file system as a compact
+// binary snapfile; -vfs-snapshot reopens one in place of the snapshot
+// TSV, making startup an O(1) open plus lazy decoding instead of a
+// full re-parse.
 //
 // Observability: -metrics-out dumps each policy's counter registry
 // (plus per-phase wall-clock times) as JSON, -events-out streams
@@ -36,8 +34,8 @@
 //	simulate -data ./data -lenient                          # salvage damaged traces
 //	simulate -data ./data -multiplex                        # both policies in one pass
 //	simulate -data ./data -metrics-out m.json -events-out e.jsonl -audit-sample 0.01
-//	simulate -data ./data -vfs-snapshot-out fs.snap                 # write the binary snapfile
-//	simulate -data ./data -vfs-snapshot fs.snap -shards 16          # reopen it, sharded replay
+//	simulate -data ./data -vfs-snapshot-out fs.snap         # write the binary snapfile
+//	simulate -data ./data -vfs-snapshot fs.snap             # reopen it in place of the TSV
 package main
 
 import (
@@ -72,7 +70,6 @@ type options struct {
 	target   float64
 	interval int
 	snapDir  string
-	shards   int
 
 	vfsSnap    string
 	vfsSnapOut string
@@ -113,7 +110,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.Float64Var(&o.target, "target", 0.5, "ActiveDR purge target utilization, in (0,1]")
 	fs.IntVar(&o.interval, "interval", 7, "purge trigger interval in days")
 	fs.StringVar(&o.snapDir, "snapshots", "", "write the FLT run's weekly metadata snapshot series to this directory")
-	fs.IntVar(&o.shards, "shards", 0, "replay against a user-hash-sharded namespace with this many shards (0 or 1 = single tree; results are bit-identical either way)")
 
 	fs.StringVar(&o.vfsSnap, "vfs-snapshot", "", "open the initial file system from this binary snapfile instead of parsing the dataset's snapshot TSV")
 	fs.StringVar(&o.vfsSnapOut, "vfs-snapshot-out", "", "write the initial file system to this binary snapfile after loading; later runs reopen it with -vfs-snapshot")
@@ -164,9 +160,6 @@ func (o *options) validate() error {
 	}
 	if o.maxErrors < 1 {
 		return fmt.Errorf("-max-errors must be >= 1, got %d", o.maxErrors)
-	}
-	if o.shards < 0 || o.shards > vfs.MaxShards {
-		return fmt.Errorf("-shards must be in [0,%d], got %d", vfs.MaxShards, o.shards)
 	}
 	if !(o.faultProb >= 0 && o.faultProb <= 1) {
 		return fmt.Errorf("-faults probability must be in [0,1], got %v", o.faultProb)
@@ -269,7 +262,6 @@ func run(o *options, out io.Writer) (err error) {
 		Lifetime:          timeutil.Days(o.lifetime),
 		TriggerInterval:   timeutil.Days(o.interval),
 		TargetUtilization: o.target,
-		Shards:            o.shards,
 	}
 	if o.snapDir != "" {
 		cfg.SnapshotEvery = timeutil.Days(7)

@@ -57,6 +57,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"snapfile out only", []string{"-vfs-snapshot-out", "a.snap"}, ""},
 		{"snapfile in equals out", []string{"-vfs-snapshot", "a.snap", "-vfs-snapshot-out", "a.snap"}, "name the same file"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"retired shards flag", []string{"-shards", "4"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

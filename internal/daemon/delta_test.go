@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,13 +14,16 @@ import (
 
 	"activedr/internal/faults"
 	"activedr/internal/obs"
+	"activedr/internal/timeutil"
+	"activedr/internal/trace"
 )
 
 // ckptLink is the chain bookkeeping of one on-disk checkpoint.
 type ckptLink struct {
-	Kind  string `json:"kind"`
-	Base  string `json:"base"`
-	Ckpts int    `json:"ckpts"`
+	Kind     string `json:"kind"`
+	Base     string `json:"base"`
+	Ckpts    int    `json:"ckpts"`
+	Triggers int    `json:"triggers"`
 }
 
 func readLink(t *testing.T, ckptDir, name string) ckptLink {
@@ -122,4 +126,102 @@ func TestDeltaChainCrashRecovery(t *testing.T) {
 	if n != total || bytes.Sum <= 0 {
 		t.Fatalf("%s: %d observations summing to %d bytes, want one per checkpoint (%d)", obs.MetricCheckpointBytes, n, bytes.Sum, total)
 	}
+}
+
+// readLatestName returns the checkpoint LATEST names.
+func readLatestName(t *testing.T, ckptDir string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(ckptDir, "LATEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(string(b))
+}
+
+// TestDrainResaveKeepsLatest pins the drain checkpoint's publish
+// order. Close lands between purge triggers, so it re-saves under the
+// trigger count LATEST already names. That re-save must publish a new
+// directory and leave the one LATEST named untouched (same inode,
+// same state.json): removing it first would let a crash strand LATEST
+// on nothing after the WAL was pruned, and the next start would
+// refuse with "events lost". Two drain cycles run back to back — the
+// second re-saves a re-save — and a daemon restarted from the last
+// one finishes the feed with the batch replay's reports.
+func TestDrainResaveKeepsLatest(t *testing.T) {
+	// The fixture's weekly creates land one per trigger interval; three
+	// extra mid-week creates give both drains room between triggers.
+	dataset := func() *trace.Dataset {
+		ds := tinyDataset()
+		mid := snapAt.Add(20*timeutil.Week + timeutil.Days(3))
+		for i := 0; i < 3; i++ {
+			ds.Accesses = append(ds.Accesses, trace.Access{TS: mid.Add(timeutil.Hours(i + 1)), User: 0, Create: true,
+				Size: 1 << 20, Path: fmt.Sprintf("/lustre/atlas/busy/drain/%d.dat", i)})
+		}
+		ds.SortAccesses()
+		return ds
+	}
+	ds := dataset()
+	evs := accessEvents(ds)
+	ref := batchReference(t, ds, nil)
+	cfg := baseConfig(t)
+
+	d := newDaemon(t, dataset(), cfg)
+	// Feed to mid-week: past some triggers, with the next two events
+	// still before the next trigger, so both drains below re-save the
+	// same trigger count.
+	n := 0
+	for !(evs[n].TS < d.stream.NextTrigger() && evs[n+1].TS < d.stream.NextTrigger()) || d.stream.Triggers() == 0 {
+		ingestAll(t, d, evs[n:n+1], 1)
+		n++
+	}
+
+	for cycle := 1; cycle <= 2; cycle++ {
+		if cycle == 2 {
+			d = newDaemon(t, dataset(), cfg)
+			if d.stream.Applied() != n || d.recovered != 0 {
+				t.Fatalf("cycle 2: restart at %d with %d WAL records replayed, want %d and 0", d.stream.Applied(), d.recovered, n)
+			}
+			ingestAll(t, d, evs[n:n+1], 1)
+			n++
+		}
+		before := readLatestName(t, cfg.CheckpointDir)
+		dirBefore, err := os.Stat(filepath.Join(cfg.CheckpointDir, before))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateBefore, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, before, "state.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("cycle %d: Close: %v", cycle, err)
+		}
+		after := readLatestName(t, cfg.CheckpointDir)
+		if after == before {
+			t.Fatalf("cycle %d: drain re-save republished %s in place", cycle, before)
+		}
+		if got, want := readLink(t, cfg.CheckpointDir, after).Triggers, readLink(t, cfg.CheckpointDir, before).Triggers; got != want {
+			t.Fatalf("cycle %d: drain saved at trigger %d, want a re-save of trigger %d", cycle, got, want)
+		}
+		dirAfter, err := os.Stat(filepath.Join(cfg.CheckpointDir, before))
+		if err != nil {
+			t.Fatalf("cycle %d: previously published checkpoint %s is gone: %v", cycle, before, err)
+		}
+		stateAfter, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, before, "state.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(dirBefore, dirAfter) || !bytes.Equal(stateBefore, stateAfter) {
+			t.Fatalf("cycle %d: previously published checkpoint %s was replaced", cycle, before)
+		}
+	}
+
+	d = newDaemon(t, dataset(), cfg)
+	defer d.Close()
+	if d.stream.Applied() != n || d.recovered != 0 {
+		t.Fatalf("restart at %d with %d WAL records replayed, want %d and 0", d.stream.Applied(), d.recovered, n)
+	}
+	ingestAll(t, d, evs[n:], 7)
+	requireSameReports(t, "drain re-save", d.stream.Result().Reports, ref.Reports)
+	requireSameFS(t, "drain re-save", d, ref)
 }

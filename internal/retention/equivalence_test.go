@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"activedr/internal/activeness"
@@ -55,6 +57,64 @@ func randomFS(rng *rand.Rand, users, files int) (*vfs.FS, []activeness.Rank) {
 	return fs, ranks
 }
 
+// walkSelection is the equivalence oracle for the indexed candidate
+// selection: a namespace decorator that answers Users and the stale
+// queries the pre-index way. Construction walks the whole namespace
+// once and buckets every path by owner; each query then re-filters
+// the owner's bucket through Lookup and sorts. It shares no code with
+// the per-user atime index, which is what makes agreement meaningful.
+// Build one per purge pass: the buckets are the namespace at pass
+// start, and a pass only ever removes files.
+type walkSelection struct {
+	vfs.Namespace
+	buckets map[trace.UserID][]string
+}
+
+func newWalkSelection(ns vfs.Namespace) *walkSelection {
+	w := &walkSelection{Namespace: ns, buckets: make(map[trace.UserID][]string)}
+	ns.Walk(func(path string, m vfs.FileMeta) bool {
+		w.buckets[m.User] = append(w.buckets[m.User], path)
+		return true
+	})
+	return w
+}
+
+func (w *walkSelection) Users() []trace.UserID {
+	out := make([]trace.UserID, 0, len(w.buckets))
+	for u := range w.buckets {
+		out = append(out, u)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (w *walkSelection) StaleFiles(u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
+	return w.AppendStaleFiles(nil, u, cutoff)
+}
+
+func (w *walkSelection) AppendStaleFiles(dst []vfs.Candidate, u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
+	start := len(dst)
+	for _, p := range w.buckets[u] {
+		m, ok := w.Lookup(p)
+		if !ok || m.User != u || m.ATime >= cutoff {
+			continue
+		}
+		dst = append(dst, vfs.Candidate{Path: p, Meta: m})
+	}
+	part := dst[start:]
+	sort.Slice(part, func(i, j int) bool { return candLess(part[i], part[j]) })
+	return dst
+}
+
+// purgeWith runs one pass of p on fs, through the walk oracle when
+// walk is set.
+func purgeWith(p Policy, fs *vfs.FS, ranks []activeness.Rank, at timeutil.Time, walk bool) *Report {
+	if walk {
+		return p.Purge(newWalkSelection(fs), ranks, at)
+	}
+	return p.Purge(fs, ranks, at)
+}
+
 // diffReports compares two purge reports field by field with wall
 // clock normalized out.
 func diffReports(t *testing.T, label string, a, b *Report) {
@@ -62,7 +122,7 @@ func diffReports(t *testing.T, label string, a, b *Report) {
 	na, nb := *a, *b
 	na.Elapsed, nb.Elapsed = 0, 0
 	if !reflect.DeepEqual(na, nb) {
-		t.Errorf("%s: reports differ\n indexed: %+v\n legacy:  %+v", label, na, nb)
+		t.Errorf("%s: reports differ\n indexed: %+v\n walk:    %+v", label, na, nb)
 	}
 }
 
@@ -70,7 +130,7 @@ func diffReports(t *testing.T, label string, a, b *Report) {
 // policy level: on randomized namespaces, with and without fault
 // injection, the indexed selection path produces bit-identical
 // reports — including victim sequences, group accounting, fault
-// outcomes and the post-purge namespace — to the legacy walk path.
+// outcomes and the post-purge namespace — to the walk oracle.
 func TestIndexedSelectionEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -92,34 +152,33 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 		}
 
 		t.Run(fmt.Sprintf("flt/trial%d", trial), func(t *testing.T) {
-			run := func(legacy bool) (*Report, *vfs.FS) {
+			run := func(walk bool) (*Report, *vfs.FS) {
 				fs := base.Clone()
 				f := &FLT{
-					Lifetime:        timeutil.Days(90),
-					Reserved:        reserved,
-					CollectVictims:  true,
-					Faults:          injector(),
-					LegacySelection: legacy,
+					Lifetime:       timeutil.Days(90),
+					Reserved:       reserved,
+					CollectVictims: true,
+					Faults:         injector(),
 				}
 				var reps []*Report
 				// Two triggers: failed unlinks from the first must stay
 				// candidates for the second.
-				reps = append(reps, f.Purge(fs, ranks, tc))
-				reps = append(reps, f.Purge(fs, ranks, tc.Add(timeutil.Week)))
+				reps = append(reps, purgeWith(f, fs, ranks, tc, walk))
+				reps = append(reps, purgeWith(f, fs, ranks, tc.Add(timeutil.Week), walk))
 				reps[0].Victims = append(reps[0].Victims, reps[1].Victims...)
 				reps[0].PurgedFiles += reps[1].PurgedFiles
 				return reps[1], fs
 			}
 			ri, fsi := run(false)
-			rl, fsl := run(true)
-			diffReports(t, "flt", ri, rl)
-			if !reflect.DeepEqual(fsi.Snapshot(tc), fsl.Snapshot(tc)) {
+			rw, fsw := run(true)
+			diffReports(t, "flt", ri, rw)
+			if !reflect.DeepEqual(fsi.Snapshot(tc), fsw.Snapshot(tc)) {
 				t.Error("post-purge namespaces differ")
 			}
 		})
 
 		t.Run(fmt.Sprintf("adr/trial%d", trial), func(t *testing.T) {
-			run := func(legacy bool) (*Report, *vfs.FS) {
+			run := func(walk bool) (*Report, *vfs.FS) {
 				fs := base.Clone()
 				adr, err := NewActiveDR(Config{
 					Lifetime:          timeutil.Days(90),
@@ -129,21 +188,20 @@ func TestIndexedSelectionEquivalence(t *testing.T) {
 					Reserved:          reserved,
 					CollectVictims:    true,
 					Faults:            injector(),
-					LegacySelection:   legacy,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := adr.Purge(fs, ranks, tc)
-				rep2 := adr.Purge(fs, ranks, tc.Add(timeutil.Week))
+				rep := purgeWith(adr, fs, ranks, tc, walk)
+				rep2 := purgeWith(adr, fs, ranks, tc.Add(timeutil.Week), walk)
 				rep.Victims = append(rep.Victims, rep2.Victims...)
 				rep.PurgedFiles += rep2.PurgedFiles
 				return rep, fs
 			}
 			ri, fsi := run(false)
-			rl, fsl := run(true)
-			diffReports(t, "adr", ri, rl)
-			if !reflect.DeepEqual(fsi.Snapshot(tc), fsl.Snapshot(tc)) {
+			rw, fsw := run(true)
+			diffReports(t, "adr", ri, rw)
+			if !reflect.DeepEqual(fsi.Snapshot(tc), fsw.Snapshot(tc)) {
 				t.Error("post-purge namespaces differ")
 			}
 		})

@@ -42,27 +42,27 @@ func buildPurgeFS(b *testing.B, n int, tc timeutil.Time) (*vfs.FS, int) {
 }
 
 // BenchmarkPurgeTrigger times one FLT purge trigger over a namespace
-// of 10k/100k/1M files, on the indexed and the legacy selection
-// paths. Each iteration purges a clone of the prebuilt state (clone
+// of 10k/100k/1M files, on the indexed selection and on the walk
+// oracle (equivalence_test.go) as the pre-index contrast. Each iteration purges a clone of the prebuilt state (clone
 // time excluded), so every trigger sees the same stale set.
 func BenchmarkPurgeTrigger(b *testing.B) {
 	tc := timeutil.Date(2016, time.August, 23)
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		for _, legacy := range []bool{false, true} {
-			b.Run(fmt.Sprintf("files=%d/legacy=%t", n, legacy), func(b *testing.B) {
+		for _, walk := range []bool{false, true} {
+			b.Run(fmt.Sprintf("files=%d/walk=%t", n, walk), func(b *testing.B) {
 				if n >= 1_000_000 && testing.Short() {
 					b.Skip("builds a million-file namespace")
 				}
 				base, nUsers := buildPurgeFS(b, n, tc)
 				ranks := make([]activeness.Rank, nUsers)
-				flt := &FLT{Lifetime: timeutil.Days(90), LegacySelection: legacy}
+				flt := &FLT{Lifetime: timeutil.Days(90)}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					work := base.Clone()
 					b.StartTimer()
-					rep := flt.Purge(work, ranks, tc)
+					rep := purgeWith(flt, work, ranks, tc, walk)
 					if rep.PurgedFiles == 0 {
 						b.Fatal("trigger purged nothing")
 					}

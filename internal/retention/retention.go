@@ -26,9 +26,10 @@ import (
 // holds the activeness rank of every user (indexed by UserID) as
 // evaluated at tc; policies that do not use activeness (FLT) still
 // receive it so reports can attribute purges to activeness groups.
-// The namespace may be a single tree or a sharded view (vfs.Sharded);
-// the selection contract guarantees identical candidate streams
-// either way.
+// Candidates come from the namespace's incremental per-user atime
+// index (vfs.Namespace.AppendStaleFiles), whose selection contract —
+// live files with ATime < cutoff in (ATime, Path) order — is what
+// makes every report deterministic (DESIGN.md §8).
 type Policy interface {
 	Name() string
 	Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *Report
@@ -170,11 +171,6 @@ type FLT struct {
 	// (internal/obs: counters plus the sampled audit stream). Purely
 	// observational: it never changes what gets purged.
 	Probe *obs.PurgeProbe
-	// LegacySelection selects candidates with the pre-index full
-	// namespace walk instead of the incremental atime index. The two
-	// paths are equivalent (selection.go); the knob exists for that
-	// proof and for before/after benchmarking.
-	LegacySelection bool
 
 	// scratch holds the per-user candidate buffers feeding the k-way
 	// merge, reused across triggers so a replay's hundreds of passes
@@ -217,8 +213,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 		}
 		report.TargetBytes = target
 	}
-	src := selectionFor(fsys, f.LegacySelection)
-	users := src.users()
+	users := fsys.Users()
 	groupTotals(fsys, ranks, report, users)
 	budget := int64(-1)
 	if f.Faults != nil {
@@ -236,7 +231,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 	}
 	f.scratch = f.scratch[:len(users)]
 	for i, u := range users {
-		f.scratch[i] = src.staleFiles(f.scratch[i][:0], u, cutoff)
+		f.scratch[i] = fsys.AppendStaleFiles(f.scratch[i][:0], u, cutoff)
 	}
 	f.merge.reset(f.scratch)
 	merge := &f.merge
@@ -284,7 +279,7 @@ func (f *FLT) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Tim
 			report.Groups[g].AffectedUsers++
 		}
 	}
-	// users is ascending (selection.go), so flattening the slot marks
+	// users is ascending (Namespace.Users), so flattening the slot marks
 	// in order reproduces exactly what sortedIDs built from a set.
 	n := 0
 	for _, hit := range f.affected {
@@ -367,11 +362,6 @@ type Config struct {
 	// (internal/obs: counters plus the sampled audit stream). Purely
 	// observational: it never changes what gets purged.
 	Probe *obs.PurgeProbe
-	// LegacySelection selects candidates with the pre-index full
-	// namespace walk instead of the incremental atime index. The two
-	// paths are equivalent (selection.go); the knob exists for that
-	// proof and for before/after benchmarking.
-	LegacySelection bool
 }
 
 // Defaults fills unset knobs with the paper's values.
@@ -543,8 +533,7 @@ func (a *ActiveDR) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeuti
 		}
 		report.TargetBytes = target
 	}
-	src := selectionFor(fsys, a.cfg.LegacySelection)
-	users := src.users()
+	users := fsys.Users()
 	groupTotals(fsys, ranks, report, users)
 	if a.cfg.TargetUtilization > 0 && target == 0 {
 		// Usage is already at or below the target: nothing to purge.
@@ -574,7 +563,7 @@ phaseLoop:
 				// instead of re-walking the user's whole holding.
 				eps := a.lifetime(su.rank, pass)
 				g := su.rank.Group()
-				cands = src.staleFiles(cands[:0], su.id, staleCutoff(tc, eps))
+				cands = fsys.AppendStaleFiles(cands[:0], su.id, staleCutoff(tc, eps))
 				for _, c := range cands {
 					if budget >= 0 && examined >= budget {
 						report.Incomplete = true

@@ -2,82 +2,10 @@ package retention
 
 import (
 	"math"
-	"sort"
 
 	"activedr/internal/timeutil"
-	"activedr/internal/trace"
 	"activedr/internal/vfs"
 )
-
-// candidateSource enumerates purge candidates for a pass. Both
-// implementations honor the same selection contract — staleFiles
-// yields the live files of u with ATime < cutoff, deduplicated, in
-// (ATime, Path) ascending order — so a policy produces bit-identical
-// reports, victims and fault-injection draws whichever source backs
-// it (DESIGN.md §8; proven by TestIndexedSelectionEquivalence).
-type candidateSource interface {
-	// users returns every user owning at least one file, ascending.
-	users() []trace.UserID
-	// staleFiles appends u's candidates older than cutoff to dst.
-	staleFiles(dst []vfs.Candidate, u trace.UserID, cutoff timeutil.Time) []vfs.Candidate
-}
-
-// indexedSource answers queries from the namespace's incremental
-// per-user atime index: O(stale + tombstones) per query, no namespace
-// walk. A sharded namespace fans the query out and k-way merges, which
-// preserves the (ATime, Path) order bit for bit.
-type indexedSource struct{ fs vfs.Namespace }
-
-func (s indexedSource) users() []trace.UserID { return s.fs.Users() }
-
-func (s indexedSource) staleFiles(dst []vfs.Candidate, u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
-	return s.fs.AppendStaleFiles(dst, u, cutoff)
-}
-
-// legacySource implements the same contract with the pre-index
-// mechanics: one full namespace walk builds per-user path lists at
-// pass start, and every query re-filters them through Lookup and
-// sorts. Kept as the equivalence baseline and the benchmark contrast
-// for the incremental index.
-type legacySource struct {
-	fs      vfs.Namespace
-	buckets map[trace.UserID][]string
-}
-
-func newLegacySource(fs vfs.Namespace) *legacySource {
-	return &legacySource{fs: fs, buckets: fs.FilesByUser()}
-}
-
-func (s *legacySource) users() []trace.UserID {
-	out := make([]trace.UserID, 0, len(s.buckets))
-	for u := range s.buckets {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (s *legacySource) staleFiles(dst []vfs.Candidate, u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
-	start := len(dst)
-	for _, p := range s.buckets[u] {
-		m, ok := s.fs.Lookup(p)
-		if !ok || m.User != u || m.ATime >= cutoff {
-			continue
-		}
-		dst = append(dst, vfs.Candidate{Path: p, Meta: m})
-	}
-	part := dst[start:]
-	sort.Slice(part, func(i, j int) bool { return candLess(part[i], part[j]) })
-	return dst
-}
-
-// selectionFor picks the candidate source for a pass.
-func selectionFor(fs vfs.Namespace, legacy bool) candidateSource {
-	if legacy {
-		return newLegacySource(fs)
-	}
-	return indexedSource{fs}
-}
 
 // staleCutoff converts the policy condition "age > life at tc" into
 // the equivalent index bound "ATime < cutoff", saturating instead of

@@ -10,6 +10,7 @@ package sim
 //
 //	LATEST            name of the newest complete checkpoint
 //	t000042/          one checkpoint, written atomically (tmp + rename)
+//	t000042.001/      a re-save at the same trigger count (checkpointName)
 //	  state.json      cursor, trigger clock, result-so-far, fault state
 //	  fs.tsv.gz       full vfs snapshot via the trace.Snapshot codec
 //	  delta.tsv.gz    (delta checkpoints) upserts since the base
@@ -44,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -113,12 +115,10 @@ type checkpointState struct {
 	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
-// checkpointVersion 2 added the selection-path knob to the digest
-// (the indexed and legacy paths are equivalent, but a mismatch should
-// still be explicit rather than silent). Version 3 added the
-// full/delta kind and base-chain fields; v2 checkpoints are still
-// accepted (they are exactly a v3 full checkpoint without the new
-// fields), any other version fails fast.
+// checkpointVersion 2 added a selection-path field to the digest.
+// Version 3 added the full/delta kind and base-chain fields; v2
+// checkpoints are still accepted (they are exactly a v3 full
+// checkpoint without the new fields), any other version fails fast.
 const checkpointVersion = 3
 
 // digest fingerprints the knobs that shape the replay so a resume
@@ -134,12 +134,17 @@ func (c Config) digest() string {
 // reader can validate and accept them.
 func (c Config) digestV2() string { return c.digestAt(2) }
 
+// digestAt formats the fingerprint under a version stamp. The
+// trailing "sel=false" is a fixed literal: every checkpoint on disk
+// carries it from when the field recorded a selection-path option, so
+// keeping it keeps those checkpoints resumable. TestDigestGolden pins
+// the format.
 func (c Config) digestAt(version int) string {
-	return fmt.Sprintf("v%d life=%d period=%d trig=%d util=%g cap=%d retro=%d decay=%g capture=%d snap=%d logins=%t transfers=%t eq7=%t order=%d sel=%t",
+	return fmt.Sprintf("v%d life=%d period=%d trig=%d util=%g cap=%d retro=%d decay=%g capture=%d snap=%d logins=%t transfers=%t eq7=%t order=%d sel=false",
 		version, c.Lifetime, c.PeriodLength, c.TriggerInterval,
 		c.TargetUtilization, c.Capacity, c.RetroPasses, c.RetroDecay,
 		c.CaptureAt, c.SnapshotEvery, c.UseLogins, c.UseTransfers,
-		c.StrictEq7, c.Order, c.LegacySelection)
+		c.StrictEq7, c.Order)
 }
 
 // saveCheckpoint writes one complete checkpoint for the trigger that
@@ -151,7 +156,7 @@ func (c Config) digestAt(version int) string {
 // checkpoint as soon as this returns.
 func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	e, st, dir := s.e, s.st, s.opts.CheckpointDir
-	name := fmt.Sprintf("t%06d", st.triggers)
+	name := checkpointName(st.triggers, st.lastCkpt)
 	tmp := filepath.Join(dir, name+".tmp")
 	if err := os.RemoveAll(tmp); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
@@ -159,12 +164,11 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	// Decide full vs delta. A delta needs a distinct previous
-	// checkpoint to diff against (the daemon's manual Checkpoint can
-	// re-save under the same trigger count, which must not self-base).
+	// Decide full vs delta. A delta needs a previous checkpoint to
+	// diff against; checkpointName guarantees it is a different
+	// directory even when this save re-saves its trigger count.
 	kind := kindFull
-	if full := s.opts.CheckpointFullEvery; full > 1 && st.ckpts%full != 0 &&
-		st.lastCkpt != "" && st.lastCkpt != name {
+	if full := s.opts.CheckpointFullEvery; full > 1 && st.ckpts%full != 0 && st.lastCkpt != "" {
 		kind = kindDelta
 	}
 	// dataBytes tallies every file but state.json, which cannot count
@@ -279,8 +283,9 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
 	final := filepath.Join(dir, name)
-	// A stale directory with this trigger count can linger from a
-	// previous incarnation killed before publishing LATEST.
+	// A stale directory with this name can linger from a previous
+	// incarnation killed before publishing LATEST. It is never the one
+	// LATEST names: that is st.lastCkpt, which checkpointName avoids.
 	if err := os.RemoveAll(final); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
@@ -304,6 +309,31 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	st.ckptBases[name] = cs.Base
 	pruneCheckpoints(dir, keepCheckpoints, st.ckptBases)
 	return nil
+}
+
+// checkpointName names the checkpoint a run saves after `triggers`
+// purge triggers, given the newest one it published (or resumed
+// from), last. The first save at a trigger count is t%06d. A re-save
+// at the same count — the daemon's drain checkpoint on Close, which
+// lands between triggers — takes the next revision, t%06d.%03d, so it
+// never removes or rewrites the directory LATEST still names: a crash
+// mid-save leaves that checkpoint whole.
+func checkpointName(triggers int, last string) string {
+	if last != "" {
+		if trig, rev := parseCheckpointName(last); trig == triggers {
+			return fmt.Sprintf("t%06d.%03d", triggers, rev+1)
+		}
+	}
+	return fmt.Sprintf("t%06d", triggers)
+}
+
+// parseCheckpointName splits a checkpoint directory name into its
+// trigger count and revision (0 for a first save).
+func parseCheckpointName(name string) (triggers, rev int) {
+	num, r, _ := strings.Cut(strings.TrimPrefix(name, "t"), ".")
+	triggers, _ = strconv.Atoi(num)
+	rev, _ = strconv.Atoi(r)
+	return triggers, rev
 }
 
 // fileWriter is the buffered, optionally gzip-compressing writer one
@@ -428,7 +458,16 @@ func pruneCheckpoints(dir string, keep int, bases map[string]string) {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
+	// Newest means highest (trigger count, revision); comparing the
+	// parsed pair keeps that order past any field width.
+	sort.Slice(names, func(i, j int) bool {
+		ti, ri := parseCheckpointName(names[i])
+		tj, rj := parseCheckpointName(names[j])
+		if ti != tj {
+			return ti < tj
+		}
+		return ri < rj
+	})
 	if len(names) <= keep {
 		return
 	}
@@ -591,16 +630,6 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 			}
 		}
 	}
-	// Re-partition under the resuming configuration's shard count. The
-	// serialized format is shard-agnostic (a plain snapshot), so a
-	// checkpoint written at one shard count resumes at any other; this
-	// is why Shards stays out of the config digest.
-	var fsys vfs.Namespace = tree
-	if e.cfg.Shards > 1 {
-		if fsys, err = vfs.ShardFS(tree, e.cfg.Shards); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
-		}
-	}
 	res := &Result{
 		Policy:        cs.Policy,
 		Days:          cs.Days,
@@ -656,7 +685,7 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// counter; that makes the resumed run's next checkpoint full,
 	// which is always safe.
 	st := &runState{
-		fsys:        fsys,
+		fsys:        tree,
 		res:         res,
 		cursor:      cs.Cursor,
 		nextTrigger: timeutil.Time(cs.NextTrigger),

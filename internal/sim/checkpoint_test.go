@@ -385,3 +385,32 @@ func TestCheckpointSurvivesSnapshotSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestGolden pins the exact config fingerprints checkpoints
+// carry. Resume compares them as strings, so any drift in the format —
+// a field added, removed, renamed or reformatted — would orphan every
+// checkpoint already on disk. The expected strings are literals on
+// purpose: computing them in-process would drift along with the code.
+func TestDigestGolden(t *testing.T) {
+	if checkpointVersion != 3 {
+		t.Fatalf("checkpointVersion = %d, want 3", checkpointVersion)
+	}
+	def := Config{}.Defaults()
+	paper := def
+	paper.TargetUtilization = 0.5
+	paper.Capacity = 123456789
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"default v3", def.digest(),
+			"v3 life=7776000 period=7776000 trig=604800 util=0 cap=0 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
+		{"default v2", def.digestV2(),
+			"v2 life=7776000 period=7776000 trig=604800 util=0 cap=0 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
+		{"target and capacity v3", paper.digest(),
+			"v3 life=7776000 period=7776000 trig=604800 util=0.5 cap=123456789 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s digest changed:\n got  %s\n want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}

@@ -8,17 +8,23 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"activedr/internal/activeness"
 	"activedr/internal/faults"
+	"activedr/internal/obs"
+	"activedr/internal/retention"
 	"activedr/internal/synth"
 	"activedr/internal/timeutil"
+	"activedr/internal/trace"
+	"activedr/internal/vfs"
 )
 
 // normalizeCheckpoint parses a checkpoint's state.json and blanks the
-// fields allowed to differ between selection paths: wall clock inside
-// the serialized reports, and the config digest (which deliberately
-// records which path wrote it).
+// one field allowed to differ between equivalent runs: wall clock
+// inside the serialized reports.
 func normalizeCheckpoint(t *testing.T, dir string) checkpointState {
 	t.Helper()
 	name, err := readLatest(dir)
@@ -36,7 +42,6 @@ func normalizeCheckpoint(t *testing.T, dir string) checkpointState {
 	for _, rep := range cs.Reports {
 		rep.Elapsed = 0
 	}
-	cs.Config = ""
 	return cs
 }
 
@@ -121,11 +126,82 @@ func TestSnapshotSpacingSurvivesResume(t *testing.T) {
 	}
 }
 
-// TestIndexedReplayEquivalence is the tentpole's end-to-end contract:
+// walkSelection answers candidate selection the pre-index way: one
+// namespace walk per purge pass buckets every path by owner, and each
+// stale query re-filters its owner's bucket through Lookup and sorts.
+// It is the twin of the retention package's test oracle (test files
+// cannot be shared across packages) and the end-to-end baseline for
+// the per-user atime index.
+type walkSelection struct {
+	vfs.Namespace
+	buckets map[trace.UserID][]string
+}
+
+func newWalkSelection(ns vfs.Namespace) *walkSelection {
+	w := &walkSelection{Namespace: ns, buckets: make(map[trace.UserID][]string)}
+	ns.Walk(func(path string, m vfs.FileMeta) bool {
+		w.buckets[m.User] = append(w.buckets[m.User], path)
+		return true
+	})
+	return w
+}
+
+func (w *walkSelection) Users() []trace.UserID {
+	out := make([]trace.UserID, 0, len(w.buckets))
+	for u := range w.buckets {
+		out = append(out, u)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (w *walkSelection) StaleFiles(u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
+	return w.AppendStaleFiles(nil, u, cutoff)
+}
+
+func (w *walkSelection) AppendStaleFiles(dst []vfs.Candidate, u trace.UserID, cutoff timeutil.Time) []vfs.Candidate {
+	start := len(dst)
+	for _, p := range w.buckets[u] {
+		m, ok := w.Lookup(p)
+		if !ok || m.User != u || m.ATime >= cutoff {
+			continue
+		}
+		dst = append(dst, vfs.Candidate{Path: p, Meta: m})
+	}
+	part := dst[start:]
+	sort.Slice(part, func(i, j int) bool {
+		if part[i].Meta.ATime != part[j].Meta.ATime {
+			return part[i].Meta.ATime < part[j].Meta.ATime
+		}
+		return part[i].Path < part[j].Path
+	})
+	return dst
+}
+
+// walkPolicy routes every purge pass of the wrapped policy through a
+// fresh walkSelection, forwarding the fault injector and probe the
+// replay threads through its policy.
+type walkPolicy struct{ inner retention.Policy }
+
+func (p walkPolicy) Name() string { return p.inner.Name() }
+
+func (p walkPolicy) Purge(fsys vfs.Namespace, ranks []activeness.Rank, tc timeutil.Time) *retention.Report {
+	return p.inner.Purge(newWalkSelection(fsys), ranks, tc)
+}
+
+func (p walkPolicy) SetFaults(fi retention.FaultInjector) {
+	p.inner.(retention.FaultSink).SetFaults(fi)
+}
+
+func (p walkPolicy) SetProbe(pr *obs.PurgeProbe) {
+	p.inner.(retention.ProbeSink).SetProbe(pr)
+}
+
+// TestIndexedReplayEquivalence is the end-to-end selection contract:
 // a full-year replay on the incremental candidate index produces
 // bit-identical Results (reports, day stats, totals, final state) and
-// checkpoints to the legacy full-walk path — for both policies, with
-// and without fault injection.
+// checkpoints to the same replay selecting through the walk oracle —
+// for both policies, with and without fault injection.
 func TestIndexedReplayEquivalence(t *testing.T) {
 	d, err := synth.Generate(synth.Config{Seed: 11, Users: 300})
 	if err != nil {
@@ -134,10 +210,14 @@ func TestIndexedReplayEquivalence(t *testing.T) {
 	for _, faultsOn := range []bool{false, true} {
 		for _, name := range []string{"flt", "adr"} {
 			t.Run(fmt.Sprintf("%s/faults=%t", name, faultsOn), func(t *testing.T) {
-				run := func(legacy bool) (*Result, string) {
-					em, err := New(d, Config{TargetUtilization: 0.5, LegacySelection: legacy})
+				run := func(walk bool) (*Result, string) {
+					em, err := New(d, Config{TargetUtilization: 0.5})
 					if err != nil {
 						t.Fatal(err)
+					}
+					policy := policyFor(t, em, name)
+					if walk {
+						policy = walkPolicy{policy}
 					}
 					opts := RunOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 20}
 					if faultsOn {
@@ -145,19 +225,19 @@ func TestIndexedReplayEquivalence(t *testing.T) {
 							Seed: 42, UnlinkFailProb: 0.05, ScanInterruptProb: 0.05,
 						})
 					}
-					res, err := em.RunWith(policyFor(t, em, name), opts)
+					res, err := em.RunWith(policy, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res, opts.CheckpointDir
 				}
 				indexed, idxDir := run(false)
-				legacy, legDir := run(true)
-				requireSameResult(t, legacy, indexed)
-				if !reflect.DeepEqual(normalizeCheckpoint(t, idxDir), normalizeCheckpoint(t, legDir)) {
+				walked, walkDir := run(true)
+				requireSameResult(t, walked, indexed)
+				if !reflect.DeepEqual(normalizeCheckpoint(t, idxDir), normalizeCheckpoint(t, walkDir)) {
 					t.Error("checkpoint states diverge between selection paths")
 				}
-				if !bytes.Equal(readSidecar(t, idxDir), readSidecar(t, legDir)) {
+				if !bytes.Equal(readSidecar(t, idxDir), readSidecar(t, walkDir)) {
 					t.Error("checkpointed file-system snapshots are not byte-identical")
 				}
 			})

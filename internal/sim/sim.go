@@ -65,21 +65,6 @@ type Config struct {
 	// StrictEq7 and Order pass through to ActiveDR (ablations).
 	StrictEq7 bool
 	Order     retention.ScanOrder
-	// LegacySelection routes both policies through the legacy
-	// full-namespace-walk candidate selection instead of the
-	// incremental per-user atime index. The two paths are equivalent
-	// (see TestIndexedSelectionEquivalence); the knob exists for that
-	// proof and for before/after benchmarking.
-	LegacySelection bool
-	// Shards > 1 replays against a user-hash-sharded namespace
-	// (vfs.Sharded) instead of one tree: stale scans fan out across
-	// shard-local indexes and k-way merge, which bounds per-shard tree
-	// and index size on spider-scale snapshots. The replay is
-	// bit-identical to the single-tree path (TestShardedReplay
-	// Equivalence), so Shards is a layout knob, not a semantic one —
-	// it is deliberately excluded from the checkpoint digest, and a
-	// checkpoint written at one shard count resumes at any other.
-	Shards int
 }
 
 // Defaults fills unset knobs with the paper's values.
@@ -201,9 +186,6 @@ func NewWithBase(ds *trace.Dataset, base *vfs.FS, cfg Config) (*Emulator, error)
 	if cfg.TriggerInterval <= 0 || cfg.Lifetime <= 0 || cfg.PeriodLength <= 0 {
 		return nil, fmt.Errorf("sim: non-positive durations in config")
 	}
-	if err := validateShards(cfg.Shards); err != nil {
-		return nil, err
-	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = base.TotalBytes()
 	}
@@ -255,7 +237,6 @@ func (e *Emulator) NewActiveDR() (*retention.ActiveDR, error) {
 		Reserved:          e.cfg.Reserved,
 		StrictEq7:         e.cfg.StrictEq7,
 		Order:             e.cfg.Order,
-		LegacySelection:   e.cfg.LegacySelection,
 	})
 }
 
@@ -263,9 +244,8 @@ func (e *Emulator) NewActiveDR() (*retention.ActiveDR, error) {
 // configuration.
 func (e *Emulator) NewFLT() *retention.FLT {
 	return &retention.FLT{
-		Lifetime:        e.cfg.Lifetime,
-		Reserved:        e.cfg.Reserved,
-		LegacySelection: e.cfg.LegacySelection,
+		Lifetime: e.cfg.Lifetime,
+		Reserved: e.cfg.Reserved,
 	}
 }
 
@@ -312,15 +292,6 @@ type RunOptions struct {
 // RunOptions.StopAfterTriggers. The partial Result is still returned.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
-// validateShards rejects shard counts the vfs layer cannot build.
-// Zero and one both mean the plain single-tree namespace.
-func validateShards(n int) error {
-	if n < 0 || n > vfs.MaxShards {
-		return fmt.Errorf("sim: shard count %d outside [0,%d]", n, vfs.MaxShards)
-	}
-	return nil
-}
-
 // runState is the mutable replay state between accesses; checkpoints
 // serialize it and Resume reconstructs it mid-year.
 type runState struct {
@@ -364,7 +335,7 @@ func (e *Emulator) freshState(policy retention.Policy) *runState {
 		return cursors.EvaluateAll(e.users, at)
 	}
 	return &runState{
-		fsys:        e.replayFS(e.base),
+		fsys:        e.base.Clone(),
 		res:         &Result{Policy: policy.Name()},
 		nextTrigger: t0.Add(e.cfg.TriggerInterval),
 		ranks:       ranker(t0),
@@ -373,22 +344,6 @@ func (e *Emulator) freshState(policy retention.Policy) *runState {
 		cursors:     cursors,
 		ranker:      ranker,
 	}
-}
-
-// replayFS builds the namespace a replay mutates from a single-tree
-// base: a private clone, re-partitioned across shards when the
-// configuration asks for them. The base itself is never touched.
-func (e *Emulator) replayFS(base *vfs.FS) vfs.Namespace {
-	if e.cfg.Shards > 1 {
-		s, err := vfs.ShardFS(base, e.cfg.Shards)
-		if err != nil {
-			// Shards was validated in New; the only failure mode left is
-			// a programming error, which must not silently degrade.
-			panic(fmt.Sprintf("sim: shard base: %v", err))
-		}
-		return s
-	}
-	return base.Clone()
 }
 
 // Run replays the access log against one policy.

@@ -102,9 +102,9 @@ func (s *Stream) NextTrigger() timeutil.Time { return s.st.nextTrigger }
 // by user ID) and the trigger time it was evaluated at.
 func (s *Stream) Ranks() ([]activeness.Rank, timeutil.Time) { return s.st.ranks, s.st.ranksAt }
 
-// FS returns the live virtual file system (a single tree or a sharded
-// view, per Config.Shards). Callers must not mutate it and must not
-// retain it across Apply calls.
+// FS returns the live virtual file system: the replay's private tree,
+// or a lane view of a multiplexed run's shared one. Callers must not
+// mutate it and must not retain it across Apply calls.
 func (s *Stream) FS() vfs.Namespace { return s.st.fsys }
 
 // Policy returns the policy the stream purges with.

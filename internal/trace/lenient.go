@@ -33,7 +33,7 @@ type ReadOptions struct {
 	// instead of the pipelined ones (pipeline.go). Both paths produce
 	// bit-identical records, reports, and errors — the equivalence
 	// tests enforce it — so this exists for A/B benchmarking and as a
-	// fallback, like retention's LegacySelection.
+	// fallback.
 	Sequential bool
 	// SkipSnapshot leaves the metadata snapshot unread: Dataset.Snapshot
 	// stays zero and the caller supplies the initial file-system state

@@ -7,14 +7,14 @@ import (
 )
 
 // Namespace is the virtual-file-system surface the replay emulator and
-// the retention policies program against. Two implementations exist:
-// *FS, the single compact prefix tree, and *Sharded, which splits the
-// namespace across per-user-hash shards so mutation and scan work can
-// proceed shard-parallel (sharded.go). Every method honors the same
-// contracts as the *FS documentation states them — in particular the
+// the retention policies program against. *FS, the compact prefix
+// tree, is the one implementation; the interface exists so a caller
+// can decorate it (wrap a tree to time or audit the calls a policy
+// makes) without the policies knowing. A decorator must honor every
+// contract the *FS documentation states — in particular the
 // lexicographic "system order" of Walk/WalkPrefix/Snapshot and the
-// (ATime, Path) ascending order of StaleFiles — so the two are
-// interchangeable bit-for-bit in reports and checkpoints.
+// (ATime, Path) ascending order of StaleFiles — so reports and
+// checkpoints stay bit-identical through it.
 type Namespace interface {
 	Insert(path string, m FileMeta) error
 	Lookup(path string) (FileMeta, bool)
@@ -31,11 +31,9 @@ type Namespace interface {
 	UserFiles(u trace.UserID) int64
 	Walk(fn func(path string, m FileMeta) bool)
 	WalkPrefix(prefix string, fn func(path string, m FileMeta) bool)
-	FilesByUser() map[trace.UserID][]string
 	Snapshot(taken timeutil.Time) *trace.Snapshot
 	// CloneNS deep-copies the namespace for an independent replay or a
-	// planner dry run. A *FS clones to a *FS, a *Sharded to a *Sharded
-	// with the same shard count.
+	// planner dry run.
 	CloneNS() Namespace
 	SetProbe(p obs.VFSProbe)
 	TrackDirty()
@@ -46,7 +44,4 @@ type Namespace interface {
 // interface; internal callers keep the concretely-typed Clone.
 func (f *FS) CloneNS() Namespace { return f.Clone() }
 
-var (
-	_ Namespace = (*FS)(nil)
-	_ Namespace = (*Sharded)(nil)
-)
+var _ Namespace = (*FS)(nil)

@@ -407,8 +407,8 @@ func (f *FS) Users() []trace.UserID {
 }
 
 // StaleFiles returns the live files of user u with ATime < cutoff in
-// (ATime, Path) ascending order. This is the selection contract both
-// the indexed and the legacy purge paths honor; see DESIGN.md §8.
+// (ATime, Path) ascending order: the selection contract the purge
+// policies consume; see DESIGN.md §8.
 func (f *FS) StaleFiles(u trace.UserID, cutoff timeutil.Time) []Candidate {
 	return f.AppendStaleFiles(nil, u, cutoff)
 }
@@ -420,13 +420,6 @@ func (f *FS) StaleFiles(u trace.UserID, cutoff timeutil.Time) []Candidate {
 // index footprint stays proportional to the live file count.
 func (f *FS) AppendStaleFiles(dst []Candidate, u trace.UserID, cutoff timeutil.Time) []Candidate {
 	f.probe.StaleQueries.Inc()
-	return f.appendStale(dst, u, cutoff)
-}
-
-// appendStale is AppendStaleFiles without the query counter: the
-// sharded wrapper counts once per logical query, then fans out to the
-// holding shards through this entry point.
-func (f *FS) appendStale(dst []Candidate, u trace.UserID, cutoff timeutil.Time) []Candidate {
 	if f.group == nil {
 		return f.appendStaleScan(dst, f.index[u], u, cutoff, stalePrivate)
 	}
@@ -751,19 +744,6 @@ func walkRecords(n *rnode[fileRecord], fn func(path string, m FileMeta) bool) bo
 		}
 	}
 	return true
-}
-
-// FilesByUser buckets every path by owning user in one walk. Each
-// bucket preserves lexicographic order. This is the legacy way a
-// retention pass obtains per-user scan lists; the indexed path asks
-// StaleFiles instead.
-func (f *FS) FilesByUser() map[trace.UserID][]string {
-	out := make(map[trace.UserID][]string)
-	f.Walk(func(path string, m FileMeta) bool {
-		out[m.User] = append(out[m.User], path)
-		return true
-	})
-	return out
 }
 
 // Snapshot exports the current state as a metadata snapshot taken at

@@ -187,20 +187,6 @@ func TestWalkPrefix(t *testing.T) {
 	}
 }
 
-func TestFilesByUser(t *testing.T) {
-	fs := New()
-	fs.Insert("/u/a/1", meta(0, 1))
-	fs.Insert("/u/b/2", meta(1, 1))
-	fs.Insert("/u/a/3", meta(0, 1))
-	buckets := fs.FilesByUser()
-	if len(buckets) != 2 {
-		t.Fatalf("buckets = %d users", len(buckets))
-	}
-	if len(buckets[0]) != 2 || buckets[0][0] != "/u/a/1" || buckets[0][1] != "/u/a/3" {
-		t.Fatalf("user 0 bucket = %v", buckets[0])
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	fs := New()
 	fs.Insert("/u/a/1", FileMeta{User: 0, Size: 10, Stripes: 4, ATime: t0})

@@ -7,8 +7,8 @@ package workload
 //     per-user activeness-class shares and per-policy purge totals
 //     within 5% of the source replay.
 //   - At 10x, the upscaled trace must replay end-to-end through the
-//     snapfile + sharded-VFS path without materializing the snapshot
-//     in the dataset.
+//     snapfile path without materializing the snapshot in the
+//     dataset.
 
 import (
 	"math"
@@ -178,7 +178,7 @@ func TestRegenDeterminism(t *testing.T) {
 
 // TestStreamSnapshotMatchesRegen proves the streaming path emits the
 // same namespace Regen materializes, in strictly ascending path order
-// — the invariant the snapfile writer and the shard merges key on.
+// — the invariant the snapfile writer keys on.
 func TestStreamSnapshotMatchesRegen(t *testing.T) {
 	src, _ := loadSample(t)
 	m, err := Fit(src)
@@ -212,8 +212,8 @@ func TestStreamSnapshotMatchesRegen(t *testing.T) {
 
 // TestUpscaleReplaysOutOfCore is the 10x acceptance check: regenerate
 // at 10x with the snapshot left out of the dataset, stream it into a
-// snapfile, and replay both policies against the snapfile-backed
-// sharded VFS — the exact out-of-core path a full-scale run takes.
+// snapfile, and replay both policies against the tree decoded from
+// it — the exact out-of-core path a full-scale run takes.
 func TestUpscaleReplaysOutOfCore(t *testing.T) {
 	src, _ := loadSample(t)
 	m, err := Fit(src)
@@ -262,9 +262,7 @@ func TestUpscaleReplaysOutOfCore(t *testing.T) {
 	}
 	ds.Snapshot.Taken = sf.Taken()
 
-	shardedCfg := fidelityCfg
-	shardedCfg.Shards = 4
-	em, err := sim.NewWithBase(ds, base, shardedCfg)
+	em, err := sim.NewWithBase(ds, base, fidelityCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
