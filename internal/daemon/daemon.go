@@ -188,7 +188,8 @@ type Daemon struct {
 	lastCkpt   int           // Applied() at the last checkpoint
 	recovered  int           // events replayed from the WAL at startup
 	walInfo    wal.RecoveryInfo
-	recovering bool // suppress WAL pruning while Replay iterates
+	recovering bool   // suppress WAL pruning while Replay iterates
+	encBuf     []byte // applyBatch's event-encoding scratch; the WAL copies it
 
 	closeOnce sync.Once
 	closeErr  error
@@ -443,10 +444,11 @@ func (d *Daemon) applyBatch(events []Event) error {
 	sinceSync := 0
 	for i := range events {
 		ev := &events[i]
-		payload, err := ev.Encode(d.users)
+		payload, err := ev.AppendEncode(d.encBuf[:0], d.users)
 		if err != nil {
 			return err // nothing appended for this event; batch aborts
 		}
+		d.encBuf = payload
 		var seq uint64
 		attempt := 0
 		err = faults.RetryBackoff(d.cfg.RetryAttempts, d.backoff, func(t time.Duration) {

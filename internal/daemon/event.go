@@ -44,21 +44,24 @@ type Event struct {
 //
 //	ts \t user \t op \t size \t path
 func (e *Event) Encode(users []trace.User) ([]byte, error) {
-	if int(e.User) >= len(users) {
-		return nil, fmt.Errorf("daemon: event references unknown user id %d", e.User)
+	return e.AppendEncode(nil, users)
+}
+
+// AppendEncode appends Encode's bytes to dst and returns the extended
+// slice, so a caller that reuses dst encodes without allocating.
+func (e *Event) AppendEncode(dst []byte, users []trace.User) ([]byte, error) {
+	if e.User < 0 || int(e.User) >= len(users) {
+		return dst, fmt.Errorf("daemon: event references unknown user id %d", e.User)
 	}
-	var b strings.Builder
-	b.Grow(len(e.Path) + 48)
-	b.WriteString(strconv.FormatInt(int64(e.TS), 10))
-	b.WriteByte('\t')
-	b.WriteString(users[e.User].Name)
-	b.WriteByte('\t')
-	b.WriteString(strconv.Itoa(int(e.Op)))
-	b.WriteByte('\t')
-	b.WriteString(strconv.FormatInt(e.Size, 10))
-	b.WriteByte('\t')
-	b.WriteString(e.Path)
-	return []byte(b.String()), nil
+	dst = strconv.AppendInt(dst, int64(e.TS), 10)
+	dst = append(dst, '\t')
+	dst = append(dst, users[e.User].Name...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendInt(dst, int64(e.Op), 10)
+	dst = append(dst, '\t')
+	dst = strconv.AppendInt(dst, e.Size, 10)
+	dst = append(dst, '\t')
+	return append(dst, e.Path...), nil
 }
 
 // ParseEvent decodes one feed/WAL line. byName maps user names to IDs

@@ -38,7 +38,9 @@ type checkpointCodec struct {
 // row here as part of the PR that introduces them.
 var checkpointCodecs = []checkpointCodec{
 	{"internal/sim", "checkpointState", "saveCheckpoint", "loadCheckpoint"},
-	{"internal/daemon", "Event", "Encode", "ParseEvent"},
+	{"internal/sim", "nsHeader", "appendNSHeader", "parseNSHeader"},
+	{"internal/sim", "nsRecord", "appendNSRecord", "decodeNSRecord"},
+	{"internal/daemon", "Event", "AppendEncode", "ParseEvent"},
 	{"internal/trace", "SnapshotEntry", "WriteSnapshot", "parseSnapshotLine"},
 }
 

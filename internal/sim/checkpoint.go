@@ -6,29 +6,42 @@ package sim
 // full state at purge-trigger boundaries and reconstructs itself
 // mid-year from the latest checkpoint.
 //
-// Layout under RunOptions.CheckpointDir:
+// Layout under RunOptions.CheckpointDir (version 4):
 //
 //	LATEST            name of the newest complete checkpoint
 //	t000042/          one checkpoint, written atomically (tmp + rename)
 //	t000042.001/      a re-save at the same trigger count (checkpointName)
 //	  state.json      cursor, trigger clock, result-so-far, fault state
-//	  fs.tsv.gz       full vfs snapshot via the trace.Snapshot codec
-//	  delta.tsv.gz    (delta checkpoints) upserts since the base
-//	  deleted.gz      (delta checkpoints) paths removed since the base
-//	  captured.tsv.gz CaptureAt snapshot, when taken since the base
-//	  snapshots/      SnapshotEvery series files new since the base
+//	  fs.bin          (full checkpoints) the whole vfs tree
+//	  delta.bin       (delta checkpoints) upserts and removals since the base
+//	  captured.bin    CaptureAt clone, when taken since the base
+//	  snapshots/      SnapshotEvery series files new since the base (s%05d.bin)
+//
+// Every .bin file is a namespace file (nscodec.go): front-coded
+// records in ascending path order between a header and a CRC-32C
+// trailer. A full checkpoint's fs.bin is just a delta with no base and
+// no removals, so one decoder reads all of them.
 //
 // With RunOptions.CheckpointFullEvery ≤ 1 every checkpoint is full
-// (fs.tsv.gz holds the whole tree and sidecars are complete), the
-// historical format. With K > 1 only every Kth checkpoint is full;
-// the ones between carry a delta against their base (state.json's
-// "base" field names the previous checkpoint), so checkpoint cost
-// scales with the mutation rate instead of the tree size. Loading a
-// delta walks the base chain back to the nearest full checkpoint and
-// replays upserts and deletions forward. Pruning protects the base
-// chain of every kept checkpoint; the run holds those chains in memory
-// (every checkpoint it wrote, plus the chain it resumed from), so a
-// save never re-reads an older state.json.
+// (fs.bin holds the whole tree and sidecars are complete). With K > 1
+// only every Kth checkpoint is full; the ones between carry a delta
+// against their base (state.json's "base" field names the previous
+// checkpoint), so checkpoint cost scales with the mutation rate
+// instead of the tree size. That holds for state.json too: a delta
+// stores only the reports after its base's and the days from its
+// base's last, possibly still open, day on (ReportsFrom, DaysFrom),
+// and the loader splices them along the chain. Loading a delta walks
+// the base chain back to the nearest full checkpoint and replays the
+// deltas forward. Pruning protects the base chain of every kept
+// checkpoint; the run holds those chains in memory (every checkpoint
+// it wrote, plus the chain it resumed from), so a save never re-reads
+// an older state.json.
+//
+// Versions 2 and 3 stored the namespace files as gzip TSV through the
+// trace.Snapshot codec (a delta's removals in a separate path list)
+// and the whole history in every state.json. They still load; a run
+// resumed from one writes a full version-4 checkpoint next, so no
+// chain mixes the two formats.
 //
 // Checkpoints are taken right after a trigger's purge ran, so the
 // serialized state is exactly the uninterrupted run's state at that
@@ -47,7 +60,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"activedr/internal/activeness"
 	"activedr/internal/faults"
@@ -62,10 +74,9 @@ import (
 const (
 	latestFile      = "LATEST"
 	stateFile       = "state.json"
-	fsFile          = "fs.tsv.gz"
-	deltaFile       = "delta.tsv.gz"
-	deletedFile     = "deleted.gz"
-	capturedFile    = "captured.tsv.gz"
+	fsFile          = "fs.bin"
+	deltaFile       = "delta.bin"
+	capturedFile    = "captured.bin"
 	snapsSubdir     = "snapshots"
 	keepCheckpoints = 2
 	// maxDeltaChain caps how many delta links a loader will walk — a
@@ -76,10 +87,19 @@ const (
 	kindDelta = "delta"
 )
 
+// The namespace files of version 2 and 3 checkpoints: gzip TSV keyed
+// by user name, a delta's removals as a path list of their own.
+const (
+	legacyFSFile       = "fs.tsv.gz"
+	legacyDeltaFile    = "delta.tsv.gz"
+	legacyDeletedFile  = "deleted.gz"
+	legacyCapturedFile = "captured.tsv.gz"
+)
+
 // checkpointState is the JSON-serializable slice of runState plus the
 // Result accumulated so far. The virtual file system, the CaptureAt
-// clone, and the snapshot series travel as sidecar TSV files (the
-// existing trace.Snapshot codec); everything else fits in JSON.
+// clone, and the snapshot series travel as namespace files beside it;
+// everything else fits in JSON.
 type checkpointState struct {
 	Version int    `json:"version"`
 	Policy  string `json:"policy"`
@@ -104,9 +124,15 @@ type checkpointState struct {
 	MissesByGroup [activeness.NumGroups]int64 `json:"misses_by_group"`
 	Days          []DayStats                  `json:"days"`
 	Reports       []*retention.Report         `json:"reports"`
-	HasCaptured   bool                        `json:"has_captured"`
-	NumSnapshots  int                         `json:"num_snapshots"`
-	Faults        *faults.State               `json:"faults,omitempty"`
+	// ReportsFrom and DaysFrom place Days and Reports in the run's
+	// history (version 4). A full checkpoint holds all of it (both 0);
+	// a delta holds the reports after its base's and the days from its
+	// base's last, possibly still open, day on.
+	ReportsFrom  int           `json:"reports_from,omitempty"`
+	DaysFrom     int           `json:"days_from,omitempty"`
+	HasCaptured  bool          `json:"has_captured"`
+	NumSnapshots int           `json:"num_snapshots"`
+	Faults       *faults.State `json:"faults,omitempty"`
 	// Metrics is the observability registry's state at this boundary
 	// (omitted when the run is uninstrumented). Resume restores it
 	// bit-identically so counters continue where the original run
@@ -118,8 +144,10 @@ type checkpointState struct {
 // checkpointVersion 2 added a selection-path field to the digest.
 // Version 3 added the full/delta kind and base-chain fields; v2
 // checkpoints are still accepted (they are exactly a v3 full
-// checkpoint without the new fields), any other version fails fast.
-const checkpointVersion = 3
+// checkpoint without the new fields). Version 4 moved the namespace
+// files to the binary codec and made a delta's history append-only;
+// v2 and v3 still load, any other version fails fast.
+const checkpointVersion = 4
 
 // digest fingerprints the knobs that shape the replay so a resume
 // against a different configuration is rejected instead of silently
@@ -130,8 +158,8 @@ func (c Config) digest() string {
 }
 
 // digestV2 is the fingerprint format version-2 checkpoints carry —
-// identical fields, older version stamp — kept so the delta-aware
-// reader can validate and accept them.
+// identical fields, older version stamp — kept so the reader can
+// validate and accept them (version 3 ones carry digestAt(3)).
 func (c Config) digestV2() string { return c.digestAt(2) }
 
 // digestAt formats the fingerprint under a version stamp. The
@@ -164,57 +192,57 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	// Decide full vs delta. A delta needs a previous checkpoint to
-	// diff against; checkpointName guarantees it is a different
-	// directory even when this save re-saves its trigger count.
+	// Decide full vs delta. A delta needs a previous version-4
+	// checkpoint to diff against; checkpointName guarantees it is a
+	// different directory even when this save re-saves its trigger
+	// count.
 	kind := kindFull
-	if full := s.opts.CheckpointFullEvery; full > 1 && st.ckpts%full != 0 && st.lastCkpt != "" {
+	if full := s.opts.CheckpointFullEvery; full > 1 && st.ckpts%full != 0 && st.lastCkpt != "" && !st.legacyBase {
 		kind = kindDelta
 	}
 	// dataBytes tallies every file but state.json, which cannot count
 	// itself: it carries the metrics snapshot this tally lands in.
 	var dataBytes int64
-	write := func(path string, fill func(io.Writer) error) error {
-		n, err := writeSynced(path, fill)
+	writeNS := func(path string, nk byte, taken timeutil.Time, count int, emit func(*nsWriter)) error {
+		n, err := writeSynced(path, func(w io.Writer) error {
+			nw := newNSWriter(w, s.nsBuf, &nsHeader{Kind: nk, Taken: taken, Count: count, Users: s.users.n, UserSum: s.users.sum})
+			emit(nw)
+			var err error
+			s.nsBuf, err = nw.finish()
+			return err
+		})
 		dataBytes += n
 		return err
 	}
-	snapshot := func(snap *trace.Snapshot) func(io.Writer) error {
-		return func(w io.Writer) error { return trace.WriteSnapshot(w, e.ds.Users, snap) }
-	}
 	if kind == kindFull {
-		if err := write(filepath.Join(tmp, fsFile), snapshot(st.fsys.Snapshot(at))); err != nil {
+		if err := writeNS(filepath.Join(tmp, fsFile), nsKindFull, at, st.fsys.Count(), func(nw *nsWriter) { walkInto(nw, st.fsys) }); err != nil {
 			return fmt.Errorf("sim: checkpoint fs: %w", err)
 		}
 		st.fsys.TakeDirty() // a full snapshot resets the delta window
 	} else {
 		dirty := st.fsys.TakeDirty()
-		upserts := &trace.Snapshot{Taken: at}
-		var deleted []string
-		for _, p := range dirty {
-			if m, ok := st.fsys.Lookup(p); ok {
-				upserts.Entries = append(upserts.Entries, trace.SnapshotEntry{
-					Path: p, User: m.User, Size: m.Size, Stripes: m.Stripes, ATime: m.ATime,
-				})
-			} else {
-				deleted = append(deleted, p)
+		if err := writeNS(filepath.Join(tmp, deltaFile), nsKindDelta, at, len(dirty), func(nw *nsWriter) {
+			for _, p := range dirty {
+				if m, ok := st.fsys.Lookup(p); ok {
+					nw.upsert(p, m)
+				} else {
+					nw.remove(p)
+				}
 			}
-		}
-		if err := write(filepath.Join(tmp, deltaFile), snapshot(upserts)); err != nil {
-			return fmt.Errorf("sim: checkpoint delta: %w", err)
-		}
-		if err := write(filepath.Join(tmp, deletedFile), func(w io.Writer) error { return writePathList(w, deleted) }); err != nil {
+		}); err != nil {
 			return fmt.Errorf("sim: checkpoint delta: %w", err)
 		}
 	}
-	if st.res.Captured != nil && (kind == kindFull || !st.capturedSaved) {
-		if err := write(filepath.Join(tmp, capturedFile), snapshot(st.res.Captured.Snapshot(e.cfg.CaptureAt))); err != nil {
+	if c := st.res.Captured; c != nil && (kind == kindFull || !st.capturedSaved) {
+		if err := writeNS(filepath.Join(tmp, capturedFile), nsKindFull, e.cfg.CaptureAt, c.Count(), func(nw *nsWriter) { walkInto(nw, c) }); err != nil {
 			return fmt.Errorf("sim: checkpoint captured: %w", err)
 		}
 	}
-	snapsFrom := 0
+	// Deltas carry only what is new since their base: series files,
+	// reports, and the days from the base's last one on.
+	snapsFrom, reportsFrom, daysFrom := 0, 0, 0
 	if kind == kindDelta {
-		snapsFrom = st.snapsSaved // earlier series files live in the base chain
+		snapsFrom, reportsFrom, daysFrom = st.snapsSaved, st.reportsSaved, max(st.daysSaved-1, 0)
 	}
 	if len(st.res.Snapshots) > snapsFrom {
 		sd := filepath.Join(tmp, snapsSubdir)
@@ -222,7 +250,8 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 			return fmt.Errorf("sim: checkpoint: %w", err)
 		}
 		for i := snapsFrom; i < len(st.res.Snapshots); i++ {
-			if err := write(filepath.Join(sd, seriesName(i)), snapshot(st.res.Snapshots[i])); err != nil {
+			snap := st.res.Snapshots[i]
+			if err := writeNS(filepath.Join(sd, seriesName(i)), nsKindFull, snap.Taken, len(snap.Entries), func(nw *nsWriter) { snapshotInto(nw, snap) }); err != nil {
 				return fmt.Errorf("sim: checkpoint snapshot %d: %w", i, err)
 			}
 		}
@@ -251,8 +280,10 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 		RestoredFiles: st.res.RestoredFiles,
 		RestoredBytes: st.res.RestoredBytes,
 		MissesByGroup: st.res.MissesByGroup,
-		Days:          st.res.Days,
-		Reports:       st.res.Reports,
+		Days:          st.res.Days[daysFrom:],
+		Reports:       st.res.Reports[reportsFrom:],
+		ReportsFrom:   reportsFrom,
+		DaysFrom:      daysFrom,
 		HasCaptured:   st.res.Captured != nil,
 		NumSnapshots:  len(st.res.Snapshots),
 	}
@@ -301,7 +332,10 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	}
 	st.ckpts++
 	st.lastCkpt = name
+	st.legacyBase = false
 	st.snapsSaved = len(st.res.Snapshots)
+	st.reportsSaved = len(st.res.Reports)
+	st.daysSaved = len(st.res.Days)
 	st.capturedSaved = st.res.Captured != nil
 	if st.ckptBases == nil {
 		st.ckptBases = make(map[string]string)
@@ -336,26 +370,10 @@ func parseCheckpointName(name string) (triggers, rev int) {
 	return triggers, rev
 }
 
-// fileWriter is the buffered, optionally gzip-compressing writer one
-// checkpoint file goes through. Pooled: a fresh flate compressor
-// allocates about 1 MB, and a run writes three or more files at every
-// checkpoint, which made compressor set-up half of a daemon's
-// allocation volume.
-type fileWriter struct {
-	bw *bufio.Writer
-	zw *gzip.Writer
-}
-
-var fileWriters = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is a valid constant
-	return &fileWriter{bw: bufio.NewWriterSize(nil, 64<<10), zw: zw}
-}}
-
-// writeSynced creates path, lets fill write its content (gzip
-// compressed when the name ends in .gz) and fsyncs it before closing:
-// the rename that publishes a checkpoint must never expose a file
-// whose data is still only in the page cache. Returns the bytes on
-// disk.
+// writeSynced creates path, lets fill write its content and fsyncs it
+// before closing: the rename that publishes a checkpoint must never
+// expose a file whose data is still only in the page cache. Returns
+// the bytes on disk.
 func writeSynced(path string, fill func(io.Writer) error) (n int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -366,24 +384,7 @@ func writeSynced(path string, fill func(io.Writer) error) (n int64, err error) {
 			err = cerr
 		}
 	}()
-	fw := fileWriters.Get().(*fileWriter)
-	defer fileWriters.Put(fw)
-	fw.bw.Reset(f)
-	var w io.Writer = fw.bw
-	gz := strings.HasSuffix(path, ".gz")
-	if gz {
-		fw.zw.Reset(fw.bw)
-		w = fw.zw
-	}
-	if err := fill(w); err != nil {
-		return 0, err
-	}
-	if gz {
-		if err := fw.zw.Close(); err != nil {
-			return 0, err
-		}
-	}
-	if err := fw.bw.Flush(); err != nil {
+	if err := fill(f); err != nil {
 		return 0, err
 	}
 	if err := fsx.SyncFile(f); err != nil {
@@ -396,18 +397,8 @@ func writeSynced(path string, fill func(io.Writer) error) (n int64, err error) {
 	return fi.Size(), nil
 }
 
-// writePathList writes a newline-separated path list — the deletions
-// side of a delta checkpoint.
-func writePathList(w io.Writer, paths []string) error {
-	var buf []byte
-	for _, p := range paths {
-		buf = append(append(buf, p...), '\n')
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// readPathList reads a writePathList file.
+// readPathList reads a version-3 delta's removals: a gzipped,
+// newline-separated path list.
 func readPathList(path string) (paths []string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -435,8 +426,9 @@ func readPathList(path string) (paths []string, err error) {
 
 // seriesName numbers checkpointed snapshot-series files; an index
 // keeps same-day snapshots distinct, unlike the date-based public
-// series naming.
-func seriesName(i int) string { return fmt.Sprintf("s%05d.tsv.gz", i) }
+// series naming. legacySeriesName is the version 2 and 3 name.
+func seriesName(i int) string       { return fmt.Sprintf("s%05d.bin", i) }
+func legacySeriesName(i int) string { return fmt.Sprintf("s%05d.tsv.gz", i) }
 
 // pruneCheckpoints removes all but the newest keep checkpoint
 // directories, never touching a checkpoint some kept checkpoint's
@@ -515,6 +507,19 @@ func readLatest(dir string) (string, error) {
 	return name, nil
 }
 
+// readCheckpointState parses the state.json of checkpoint name under dir.
+func readCheckpointState(dir, name string) (*checkpointState, error) {
+	blob, err := os.ReadFile(filepath.Join(dir, name, stateFile))
+	if err != nil {
+		return nil, err
+	}
+	cs := new(checkpointState)
+	if err := json.Unmarshal(blob, cs); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
 // loadCheckpoint reconstructs the runState recorded in the latest
 // checkpoint under opts.CheckpointDir, validating that the policy and
 // emulator configuration match the ones that wrote it.
@@ -524,18 +529,15 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	if err != nil {
 		return nil, fmt.Errorf("sim: no checkpoint in %s: %w", dir, err)
 	}
-	ckdir := filepath.Join(dir, name)
-	blob, err := os.ReadFile(filepath.Join(ckdir, stateFile))
+	cs, err := readCheckpointState(dir, name)
 	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
-	}
-	var cs checkpointState
-	if err := json.Unmarshal(blob, &cs); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
 	}
 	wantDigest := e.cfg.digest()
 	switch cs.Version {
 	case checkpointVersion:
+	case 3:
+		wantDigest = e.cfg.digestAt(3)
 	case 2:
 		// A v2 checkpoint is exactly a v3 full checkpoint without the
 		// kind/base fields; accept it against the v2 digest format.
@@ -544,8 +546,9 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 			return nil, fmt.Errorf("sim: checkpoint %s has version 2 but kind %q; refusing to guess its layout", name, cs.Kind)
 		}
 	default:
-		return nil, fmt.Errorf("sim: checkpoint %s has version %d; this build reads versions 2 and %d — refusing to resume from an unknown format", name, cs.Version, checkpointVersion)
+		return nil, fmt.Errorf("sim: checkpoint %s has version %d; this build reads versions 2 to %d — refusing to resume from an unknown format", name, cs.Version, checkpointVersion)
 	}
+	legacy := cs.Version != checkpointVersion
 	if cs.Policy != policy.Name() {
 		return nil, fmt.Errorf("sim: checkpoint %s was written by policy %q, resuming with %q", name, cs.Policy, policy.Name())
 	}
@@ -564,76 +567,63 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		return nil, fmt.Errorf("sim: checkpoint %s carries fault-injector state but no injector was provided", name)
 	}
 
-	idx := trace.NameIndex(e.ds.Users)
 	// chain lists the checkpoints contributing state, newest first:
-	// the loaded one, its base, ..., down to the nearest full one.
+	// the loaded one, its base, ..., down to the nearest full one;
+	// states holds their parsed state.json files in the same order.
 	chain := []string{name}
-	if cs.Kind == kindDelta {
-		cur := cs.Base
-		for hops := 0; ; hops++ {
-			if cur == "" {
-				return nil, fmt.Errorf("sim: checkpoint %s: delta chain member without a base", name)
-			}
-			if hops >= maxDeltaChain {
-				return nil, fmt.Errorf("sim: checkpoint %s: delta chain exceeds %d links", name, maxDeltaChain)
-			}
-			blob, err := os.ReadFile(filepath.Join(dir, cur, stateFile))
-			if err != nil {
-				return nil, fmt.Errorf("sim: checkpoint %s: base %s: %w", name, cur, err)
-			}
-			var base struct {
-				Version int    `json:"version"`
-				Kind    string `json:"kind"`
-				Base    string `json:"base"`
-			}
-			if err := json.Unmarshal(blob, &base); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint %s: base %s: %w", name, cur, err)
-			}
-			if base.Version != checkpointVersion && base.Version != 2 {
-				return nil, fmt.Errorf("sim: checkpoint %s: base %s has version %d", name, cur, base.Version)
-			}
-			chain = append(chain, cur)
-			if base.Kind != kindDelta {
-				break
-			}
-			cur = base.Base
+	states := []*checkpointState{cs}
+	for m := cs; m.Kind == kindDelta; {
+		cur := m.Base
+		if cur == "" {
+			return nil, fmt.Errorf("sim: checkpoint %s: delta chain member without a base", name)
 		}
+		if len(chain) > maxDeltaChain {
+			return nil, fmt.Errorf("sim: checkpoint %s: delta chain exceeds %d links", name, maxDeltaChain)
+		}
+		if m, err = readCheckpointState(dir, cur); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint %s: base %s: %w", name, cur, err)
+		}
+		if m.Version != checkpointVersion && m.Version != 3 && m.Version != 2 {
+			return nil, fmt.Errorf("sim: checkpoint %s: base %s has version %d", name, cur, m.Version)
+		}
+		if (m.Version != checkpointVersion) != legacy {
+			return nil, fmt.Errorf("sim: checkpoint %s (version %d): base %s has version %d; a chain never mixes formats", name, cs.Version, cur, m.Version)
+		}
+		chain = append(chain, cur)
+		states = append(states, m)
 	}
-	// Rebuild the file system: the chain tail's full snapshot, then
-	// each delta's deletions and upserts replayed oldest to newest.
+	// Rebuild the file system: the chain tail's full tree, then each
+	// delta replayed oldest to newest.
+	ns := newSidecarReader(e.ds.Users, legacy)
 	full := chain[len(chain)-1]
-	snap, err := trace.ReadSnapshotFile(filepath.Join(dir, full, fsFile), idx)
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", full, err)
-	}
-	tree, err := vfs.FromSnapshot(snap)
+	tree, err := ns.tree(filepath.Join(dir, full, ns.fsFile))
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint %s: %w", full, err)
 	}
 	for i := len(chain) - 2; i >= 0; i-- {
-		dn := chain[i]
-		deleted, err := readPathList(filepath.Join(dir, dn, deletedFile))
-		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
+		if err := ns.applyDelta(tree, filepath.Join(dir, chain[i])); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, chain[i], err)
 		}
-		for _, p := range deleted {
-			tree.Remove(p)
-		}
-		up, err := trace.ReadSnapshotFile(filepath.Join(dir, dn, deltaFile), idx)
-		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
-		}
-		for i := range up.Entries {
-			ue := &up.Entries[i]
-			if err := tree.Insert(ue.Path, vfs.FileMeta{User: ue.User, Size: ue.Size, Stripes: ue.Stripes, ATime: ue.ATime}); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint %s: delta %s: %w", name, dn, err)
+	}
+	// The history: legacy checkpoints repeat all of it in every
+	// state.json; version 4 splices each member's part onto its base's.
+	days, reports := cs.Days, cs.Reports
+	if !legacy {
+		days, reports = nil, nil
+		for i := len(states) - 1; i >= 0; i-- {
+			m := states[i]
+			if m.ReportsFrom != len(reports) || m.DaysFrom != max(len(days)-1, 0) {
+				return nil, fmt.Errorf("sim: checkpoint %s: %s continues the history at report %d, day %d, but its base holds %d reports, %d days",
+					name, chain[i], m.ReportsFrom, m.DaysFrom, len(reports), len(days))
 			}
+			reports = append(reports[:m.ReportsFrom], m.Reports...)
+			days = append(days[:m.DaysFrom], m.Days...)
 		}
 	}
 	res := &Result{
 		Policy:        cs.Policy,
-		Days:          cs.Days,
-		Reports:       cs.Reports,
+		Days:          days,
+		Reports:       reports,
 		TotalAccesses: cs.TotalAccesses,
 		TotalMisses:   cs.TotalMisses,
 		RestoredFiles: cs.RestoredFiles,
@@ -644,24 +634,20 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// the newest chain member that wrote them: full checkpoints carry
 	// everything, deltas only what appeared since their base.
 	if cs.HasCaptured {
-		cpath, err := findInChain(dir, chain, capturedFile)
+		cpath, err := findInChain(dir, chain, ns.capturedFile)
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
 		}
-		csnap, err := trace.ReadSnapshotFile(cpath, idx)
-		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
-		}
-		if res.Captured, err = vfs.FromSnapshot(csnap); err != nil {
+		if res.Captured, err = ns.tree(cpath); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
 		}
 	}
 	for i := 0; i < cs.NumSnapshots; i++ {
-		spath, err := findInChain(dir, chain, filepath.Join(snapsSubdir, seriesName(i)))
+		spath, err := findInChain(dir, chain, filepath.Join(snapsSubdir, ns.seriesName(i)))
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
 		}
-		s, err := trace.ReadSnapshotFile(spath, idx)
+		s, err := ns.snapshot(spath)
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint %s: %w", name, err)
 		}
@@ -683,7 +669,8 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	}
 	// cs.Ckpts is 0 for v2 checkpoints, which don't carry the cadence
 	// counter; that makes the resumed run's next checkpoint full,
-	// which is always safe.
+	// which is always safe. legacyBase does the same after any
+	// pre-version-4 checkpoint: a delta cannot base on one.
 	st := &runState{
 		fsys:        tree,
 		res:         res,
@@ -695,10 +682,13 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 		triggers:    cs.Triggers,
 		cursors:     e.eval.NewCursors(),
 		// Deltas written after this resume base on the checkpoint we
-		// just loaded, with the sidecars it already accounts for.
+		// just loaded, with the sidecars and history it accounts for.
 		ckpts:         cs.Ckpts,
 		lastCkpt:      name,
+		legacyBase:    legacy,
 		snapsSaved:    cs.NumSnapshots,
+		reportsSaved:  len(reports),
+		daysSaved:     len(days),
 		capturedSaved: cs.HasCaptured,
 		ckptBases:     make(map[string]string, len(chain)),
 	}
@@ -719,6 +709,79 @@ func (e *Emulator) loadCheckpoint(policy retention.Policy, opts RunOptions) (*ru
 	// to ranksAt here and advance with the resumed triggers.
 	st.ranks = st.ranker(st.ranksAt)
 	return st, nil
+}
+
+// sidecarReader reads one checkpoint format's namespace files: the
+// binary codec of version 4, or the gzip TSV of versions 2 and 3.
+type sidecarReader struct {
+	legacy               bool
+	fsFile, capturedFile string
+	seriesName           func(i int) string
+	users                userPrint               // version 4
+	byName               map[string]trace.UserID // versions 2 and 3
+}
+
+func newSidecarReader(users []trace.User, legacy bool) *sidecarReader {
+	if legacy {
+		return &sidecarReader{legacy: true, fsFile: legacyFSFile, capturedFile: legacyCapturedFile,
+			seriesName: legacySeriesName, byName: trace.NameIndex(users)}
+	}
+	return &sidecarReader{fsFile: fsFile, capturedFile: capturedFile,
+		seriesName: seriesName, users: fingerprintUsers(users)}
+}
+
+// snapshot reads a whole-namespace file as a snapshot.
+func (r *sidecarReader) snapshot(path string) (*trace.Snapshot, error) {
+	if r.legacy {
+		return trace.ReadSnapshotFile(path, r.byName)
+	}
+	return readNSSnapshot(path, r.users)
+}
+
+// tree reads a whole-namespace file into a file system.
+func (r *sidecarReader) tree(path string) (*vfs.FS, error) {
+	if r.legacy {
+		snap, err := r.snapshot(path)
+		if err != nil {
+			return nil, err
+		}
+		return vfs.FromSnapshot(snap)
+	}
+	tree := vfs.New()
+	_, err := readNS(path, r.users, nsKindFull, func(rec *nsRecord) error { return tree.Insert(rec.Path, rec.meta()) })
+	return tree, err
+}
+
+// applyDelta replays the delta checkpoint in ckdir onto tree.
+func (r *sidecarReader) applyDelta(tree *vfs.FS, ckdir string) error {
+	if !r.legacy {
+		_, err := readNS(filepath.Join(ckdir, deltaFile), r.users, nsKindDelta, func(rec *nsRecord) error {
+			if rec.Op == nsOpDelete {
+				tree.Remove(rec.Path)
+				return nil
+			}
+			return tree.Insert(rec.Path, rec.meta())
+		})
+		return err
+	}
+	deleted, err := readPathList(filepath.Join(ckdir, legacyDeletedFile))
+	if err != nil {
+		return err
+	}
+	for _, p := range deleted {
+		tree.Remove(p)
+	}
+	up, err := trace.ReadSnapshotFile(filepath.Join(ckdir, legacyDeltaFile), r.byName)
+	if err != nil {
+		return err
+	}
+	for i := range up.Entries {
+		ue := &up.Entries[i]
+		if err := tree.Insert(ue.Path, vfs.FileMeta{User: ue.User, Size: ue.Size, Stripes: ue.Stripes, ATime: ue.ATime}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // findInChain locates rel in the newest chain member carrying it.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"activedr/internal/timeutil"
+	"activedr/internal/trace"
 )
 
 // latestState parses the newest checkpoint's state.json.
@@ -137,7 +138,7 @@ func TestDeltaCheckpointResume(t *testing.T) {
 			if refName != gotName {
 				t.Fatalf("final checkpoint name %q, want %q", gotName, refName)
 			}
-			for _, f := range []string{fsFile, deltaFile, deletedFile} {
+			for _, f := range []string{fsFile, deltaFile, capturedFile} {
 				rb, rerr := os.ReadFile(filepath.Join(refDir, refName, f))
 				gb, gerr := os.ReadFile(filepath.Join(dir, gotName, f))
 				if os.IsNotExist(rerr) && os.IsNotExist(gerr) {
@@ -151,6 +152,38 @@ func TestDeltaCheckpointResume(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rewriteFullAsTSV converts the newest checkpoint, a full one, from
+// the version-4 namespace files to the gzip TSV ones of versions 2
+// and 3; the caller rewrites its state.json.
+func rewriteFullAsTSV(t *testing.T, dir string, users []trace.User) {
+	t.Helper()
+	name, cs := latestState(t, dir)
+	if cs.Kind != kindFull {
+		t.Fatalf("checkpoint %s is %q, want full", name, cs.Kind)
+	}
+	fp := fingerprintUsers(users)
+	convert := func(from, to string) {
+		from, to = filepath.Join(dir, name, from), filepath.Join(dir, name, to)
+		snap, err := readNSSnapshot(from, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteSnapshotFile(to, users, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(from); err != nil {
+			t.Fatal(err)
+		}
+	}
+	convert(fsFile, legacyFSFile)
+	if cs.HasCaptured {
+		convert(capturedFile, legacyCapturedFile)
+	}
+	for i := 0; i < cs.NumSnapshots; i++ {
+		convert(filepath.Join(snapsSubdir, seriesName(i)), filepath.Join(snapsSubdir, legacySeriesName(i)))
 	}
 }
 
@@ -181,6 +214,7 @@ func TestCheckpointV2Migration(t *testing.T) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
 	// Rewrite the checkpoint as a v2 run would have written it.
+	rewriteFullAsTSV(t, dir, ds.Users)
 	v2digest := em1.cfg.digestV2()
 	editLatestState(t, dir, func(m map[string]any) {
 		m["version"] = 2
@@ -262,6 +296,45 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
+}
+
+// TestDeltaHistoryKeepsOpenDay checkpoints between two events of the
+// same day, as the daemon's drain checkpoint does. The day is still
+// open at the first save, so the delta after it must carry that day
+// again with its later counts: a resume from the delta rebuilds the
+// live stream's day stats exactly.
+func TestDeltaHistoryKeepsOpenDay(t *testing.T) {
+	ds := tinyDataset()
+	em, err := New(ds, Config{TargetUtilization: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	o := RunOptions{CheckpointDir: dir, CheckpointFullEvery: 4}
+	s := em.NewStream(em.NewFLT(), o)
+	first := ds.Accesses[0]
+	second := first
+	second.TS = first.TS.Add(timeutil.Minute)
+	second.Path = first.Path + ".2"
+	for _, a := range []*trace.Access{&first, &second} {
+		if err := s.Apply(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(a.TS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, cs := latestState(t, dir); cs.Kind != kindDelta || cs.DaysFrom != 0 || len(cs.Days) != 1 || cs.Days[0].Accesses != 2 {
+		t.Fatalf("delta after a mid-day save: kind %q, days from %d, %d days %+v; want the open day again with 2 accesses",
+			cs.Kind, cs.DaysFrom, len(cs.Days), cs.Days)
+	}
+	got, err := em.ResumeStream(em.NewFLT(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := s.Result(); !reflect.DeepEqual(got.Result().Days, want.Days) || got.Result().TotalAccesses != want.TotalAccesses {
+		t.Fatalf("resumed days %+v, want %+v", got.Result().Days, want.Days)
+	}
 }
 
 // TestDeltaPruneProtectsBaseChain: with long delta chains (full every

@@ -365,7 +365,7 @@ func TestCheckpointSurvivesSnapshotSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, _ := filepath.Glob(filepath.Join(dir, name, snapsSubdir, "s*.tsv.gz"))
+	matches, _ := filepath.Glob(filepath.Join(dir, name, snapsSubdir, "s*.bin"))
 	if len(matches) == 0 {
 		t.Fatal("no snapshot sidecars in checkpoint")
 	}
@@ -392,8 +392,8 @@ func TestCheckpointSurvivesSnapshotSeries(t *testing.T) {
 // checkpoint already on disk. The expected strings are literals on
 // purpose: computing them in-process would drift along with the code.
 func TestDigestGolden(t *testing.T) {
-	if checkpointVersion != 3 {
-		t.Fatalf("checkpointVersion = %d, want 3", checkpointVersion)
+	if checkpointVersion != 4 {
+		t.Fatalf("checkpointVersion = %d, want 4", checkpointVersion)
 	}
 	def := Config{}.Defaults()
 	paper := def
@@ -402,12 +402,16 @@ func TestDigestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, got, want string
 	}{
-		{"default v3", def.digest(),
+		{"default v4", def.digest(),
+			"v4 life=7776000 period=7776000 trig=604800 util=0 cap=0 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
+		{"default v3", def.digestAt(3),
 			"v3 life=7776000 period=7776000 trig=604800 util=0 cap=0 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
 		{"default v2", def.digestV2(),
 			"v2 life=7776000 period=7776000 trig=604800 util=0 cap=0 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
-		{"target and capacity v3", paper.digest(),
+		{"target and capacity v3", paper.digestAt(3),
 			"v3 life=7776000 period=7776000 trig=604800 util=0.5 cap=123456789 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
+		{"target and capacity v4", paper.digest(),
+			"v4 life=7776000 period=7776000 trig=604800 util=0.5 cap=123456789 retro=5 decay=0.8 capture=0 snap=0 logins=false transfers=false eq7=false order=0 sel=false"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s digest changed:\n got  %s\n want %s", tc.name, tc.got, tc.want)

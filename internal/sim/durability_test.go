@@ -20,7 +20,9 @@ import (
 // (file and parent directory), so a power cut after publish can never
 // resurrect a stale pointer or expose a zero-length file the pruned
 // WAL can no longer rebuild. Full and delta checkpoints, the CaptureAt
-// sidecar and the snapshot series all count.
+// sidecar and the snapshot series all count. A checkpoint's tree state
+// is one namespace file: fs.bin when full, delta.bin (upserts and
+// removals together) when a delta.
 func TestLatestPointerDurability(t *testing.T) {
 	ds := tinyDataset()
 	em, err := New(ds, Config{TargetUtilization: 0.5, CaptureAt: timeutil.Date(2016, 2, 1), SnapshotEvery: timeutil.Days(28)})
@@ -51,6 +53,14 @@ func TestLatestPointerDurability(t *testing.T) {
 			t.Errorf("checkpoint %s: %d fsync barriers, want %d", name, got, want)
 		}
 		last = now
+		_, cs := latestState(t, dir)
+		has := func(f string) bool {
+			_, err := os.Stat(filepath.Join(dir, name, f))
+			return err == nil
+		}
+		if full := cs.Kind == kindFull; has(fsFile) != full || has(deltaFile) == full {
+			t.Errorf("%s checkpoint %s: %s present %t, %s present %t", cs.Kind, name, fsFile, has(fsFile), deltaFile, has(deltaFile))
+		}
 	}
 	if _, err := em.RunWith(em.NewFLT(), RunOptions{
 		CheckpointDir: dir, CheckpointFullEvery: 3, StopAfterTriggers: 12, OnCheckpoint: barriers,

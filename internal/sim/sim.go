@@ -306,11 +306,15 @@ type runState struct {
 	triggers    int // purge triggers fired so far
 	// Checkpoint-cadence state: how many checkpoints this run has
 	// written (keys the full/delta rotation), the name of the newest
-	// one (a delta's base), and which sidecars it already carries so
-	// deltas only ship what is new since then.
+	// one (a delta's base) and whether it predates version 4 (then the
+	// next one must be full), and which sidecars and how much history
+	// it already carries so deltas only ship what is new since then.
 	ckpts         int
 	lastCkpt      string
+	legacyBase    bool
 	snapsSaved    int
+	reportsSaved  int
+	daysSaved     int
 	capturedSaved bool
 	// ckptBases maps every checkpoint this run wrote or resumed from
 	// to its delta base ("" for a full one): the chains pruning must

@@ -31,6 +31,10 @@ type Stream struct {
 	ro     runObs
 	day    *DayStats
 	every  int // checkpoint cadence in triggers
+	// users fingerprints the dataset's user table for the namespace
+	// files checkpoints write; nsBuf is their reused encode buffer.
+	users userPrint
+	nsBuf []byte
 }
 
 // newStream wires faults and observability into the state exactly as
@@ -61,6 +65,9 @@ func (e *Emulator) newStream(policy retention.Policy, opts RunOptions, st *runSt
 		st.fsys.TrackDirty()
 	}
 	s := &Stream{e: e, policy: policy, opts: opts, st: st, ro: ro, every: every}
+	if opts.CheckpointDir != "" {
+		s.users = fingerprintUsers(e.ds.Users)
+	}
 	if n := len(st.res.Days); n > 0 {
 		// Resume mid-day: keep appending to the tail day's stats.
 		s.day = &st.res.Days[n-1]

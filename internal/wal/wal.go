@@ -111,6 +111,7 @@ type Log struct {
 	first  uint64   // first sequence still present (0 when empty)
 	dirty  bool     // unsynced appends pending
 	closed bool
+	rec    []byte // Append's record buffer, reused across records
 }
 
 // Open scans dir (created if missing), validates every record,
@@ -208,7 +209,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 
 	seq := l.next
-	rec := make([]byte, headerSize+len(payload))
+	if n := headerSize + len(payload); cap(l.rec) < n {
+		l.rec = make([]byte, n)
+	}
+	rec := l.rec[:headerSize+len(payload)]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(rec[8:16], seq)
 	copy(rec[headerSize:], payload)
