@@ -190,6 +190,7 @@ type Daemon struct {
 	walInfo    wal.RecoveryInfo
 	recovering bool   // suppress WAL pruning while Replay iterates
 	encBuf     []byte // applyBatch's event-encoding scratch; the WAL copies it
+	walWrites  uint64 // log.Writes() already added to m.walWrites
 
 	closeOnce sync.Once
 	closeErr  error
@@ -204,6 +205,7 @@ type daemonMetrics struct {
 	rejected   *obs.Counter
 	walRecords *obs.Counter
 	walSyncs   *obs.Counter
+	walWrites  *obs.Counter
 	retries    *obs.Counter
 	queueLen   *obs.Gauge
 	degraded   *obs.Gauge
@@ -218,6 +220,7 @@ func newDaemonMetrics(o *obs.Observer) daemonMetrics {
 		rejected:   reg.Counter("daemon_events_rejected_total"),
 		walRecords: reg.Counter("daemon_wal_records_total"),
 		walSyncs:   reg.Counter("daemon_wal_syncs_total"),
+		walWrites:  reg.Counter("daemon_wal_writes_total"),
 		retries:    reg.Counter("daemon_wal_retries_total"),
 		queueLen:   reg.Gauge("daemon_queue_depth"),
 		degraded:   reg.Gauge("daemon_degraded"),
@@ -310,6 +313,14 @@ func (d *Daemon) recover() error {
 	if info.Records > 0 && info.FirstSeq > applied+1 {
 		return fmt.Errorf("%w: checkpoint ends at event %d but the WAL starts at %d: events lost",
 			wal.ErrCorrupt, applied, info.FirstSeq)
+	}
+	if info.LastSeq < applied {
+		// The checkpoint covers events the WAL lost: a power loss cut
+		// the log back past records the checkpoint had already
+		// folded in. Every surviving record is covered, so the log
+		// restarts after the checkpoint; appending at LastSeq+1 would
+		// hand new events sequences recovery skips as applied.
+		return log.Reset(applied + 1)
 	}
 	if info.LastSeq > applied {
 		d.recovering = true
@@ -474,6 +485,16 @@ func (d *Daemon) applyBatch(events []Event) error {
 			}
 		}
 		d.m.walRecords.Inc()
+		if ev.TS >= d.stream.NextTrigger() {
+			// The event fires a purge trigger, which may publish a
+			// checkpoint covering every event before it. The WAL
+			// must hold those durably first, or a power loss could
+			// leave the checkpoint ahead of the log.
+			if err := d.syncLocked(); err != nil {
+				return err
+			}
+			sinceSync = 0
+		}
 		if err := d.apply(ev); err != nil {
 			if errors.Is(err, sim.ErrInterrupted) {
 				// A replay-level kill point (checkpoint published)
@@ -513,6 +534,9 @@ func (d *Daemon) syncLocked() error {
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
 	d.m.walSyncs.Inc()
+	w := d.log.Writes()
+	d.m.walWrites.Add(int64(w - d.walWrites))
+	d.walWrites = w
 	return nil
 }
 
@@ -537,8 +561,17 @@ func (d *Daemon) Close() error {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		var errs []error
-		if d.st == stateRunning {
-			if d.cfg.CheckpointDir != "" && d.stream.Applied() > d.lastCkpt {
+		switch d.st {
+		case stateKilled:
+			// A dead process loses what it had not written: records
+			// still in the WAL's group-commit buffer never land.
+			errs = append(errs, d.log.Abandon())
+		case stateRunning:
+			// Sync first: the drain checkpoint must not get ahead of
+			// the WAL.
+			if err := d.log.Sync(); err != nil {
+				errs = append(errs, err)
+			} else if d.cfg.CheckpointDir != "" && d.stream.Applied() > d.lastCkpt {
 				at := d.lastTS
 				if at == 0 {
 					at = d.stream.NextTrigger() // stamp only; never read back
@@ -549,9 +582,7 @@ func (d *Daemon) Close() error {
 			}
 			d.st = stateClosed
 		}
-		if err := d.log.Close(); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, d.log.Close()) // a no-op after Abandon
 		d.closeErr = errors.Join(errs...)
 	})
 	return d.closeErr

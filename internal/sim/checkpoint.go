@@ -218,18 +218,20 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 		if err := writeNS(filepath.Join(tmp, fsFile), nsKindFull, at, st.fsys.Count(), func(nw *nsWriter) { walkInto(nw, st.fsys) }); err != nil {
 			return fmt.Errorf("sim: checkpoint fs: %w", err)
 		}
-		st.fsys.TakeDirty() // a full snapshot resets the delta window
 	} else {
-		dirty := st.fsys.TakeDirty()
-		if err := writeNS(filepath.Join(tmp, deltaFile), nsKindDelta, at, len(dirty), func(nw *nsWriter) {
-			for _, p := range dirty {
-				if m, ok := st.fsys.Lookup(p); ok {
-					nw.upsert(p, m)
+		dirty := st.fsys.AppendDirty(s.dirtyBuf[:0])
+		err := writeNS(filepath.Join(tmp, deltaFile), nsKindDelta, at, len(dirty), func(nw *nsWriter) {
+			for i := range dirty {
+				if e := &dirty[i]; e.Live {
+					nw.upsert(e.Path, e.Meta)
 				} else {
-					nw.remove(p)
+					nw.remove(e.Path)
 				}
 			}
-		}); err != nil {
+		})
+		clear(dirty) // drop the removed paths' strings until the next delta
+		s.dirtyBuf = dirty[:0]
+		if err != nil {
 			return fmt.Errorf("sim: checkpoint delta: %w", err)
 		}
 	}
@@ -332,6 +334,7 @@ func (s *Stream) saveCheckpoint(at timeutil.Time) error {
 	}
 	st.ckpts++
 	st.lastCkpt = name
+	st.fsys.ResetDirty() // the next delta diffs against this checkpoint
 	st.legacyBase = false
 	st.snapsSaved = len(st.res.Snapshots)
 	st.reportsSaved = len(st.res.Reports)

@@ -17,9 +17,9 @@ package sim
 //
 // Front coding makes a record cost its path's new suffix plus a few
 // varint bytes, so encoding is a linear pass with no compressor; the
-// records stream from FS.Walk or from the sorted TakeDirty list, never
-// from a materialized trace.Snapshot. A full file is a delta with no
-// base and no deletes, so one decoder reads every kind.
+// records stream from FS.Walk or from the sorted AppendDirty working
+// set, never from a materialized trace.Snapshot. A full file is a
+// delta with no base and no deletes, so one decoder reads every kind.
 //
 // User IDs are stored raw. The header's user count and FNV-1a hash of
 // the names in ID order tie a file to the user table it was written

@@ -32,9 +32,11 @@ type Stream struct {
 	day    *DayStats
 	every  int // checkpoint cadence in triggers
 	// users fingerprints the dataset's user table for the namespace
-	// files checkpoints write; nsBuf is their reused encode buffer.
-	users userPrint
-	nsBuf []byte
+	// files checkpoints write; nsBuf is their reused encode buffer and
+	// dirtyBuf the reused working set a delta encodes.
+	users    userPrint
+	nsBuf    []byte
+	dirtyBuf []vfs.DirtyEntry
 }
 
 // newStream wires faults and observability into the state exactly as

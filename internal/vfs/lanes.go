@@ -208,7 +208,7 @@ func (f *FS) laneRemoveNode(n *rnode[fileRecord], path string) (FileMeta, bool) 
 	}
 	rec.dropped |= f.laneBit
 	if f.dirty != nil {
-		f.dirty[rec.path] = struct{}{}
+		f.dirty[rec.path] = nil
 	}
 	f.probe.Removes.Inc()
 	if rec.dropped == g.allMask {
@@ -250,6 +250,12 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 		// rec.path: one descent resolves it, and the handle table
 		// carries it from here.
 		n = g.tree.findNode(path)
+		if n != nil && !n.terminal {
+			// An inner node: path is only a prefix of stored paths
+			// (a split edge, or a file every lane purged), so no
+			// lane holds it.
+			n = nil
+		}
 	}
 	lanes := g.lanes
 
@@ -269,7 +275,7 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 			for _, lf := range lanes {
 				lf.probe.Touches.Add(int64(len(evs)))
 				if lf.dirty != nil {
-					lf.dirty[rec.path] = struct{}{}
+					lf.dirty[rec.path] = nil
 				}
 			}
 			if last != rec.meta.ATime {
@@ -396,7 +402,7 @@ func (g *LaneGroup) ApplyRun(pid int32, path string, evs []RunEvent) (missMask u
 	g.handles[pid] = n
 	for _, lf := range lanes {
 		if lf.dirty != nil {
-			lf.dirty[rec.path] = struct{}{}
+			lf.dirty[rec.path] = nil
 		}
 	}
 	return missMask

@@ -228,3 +228,49 @@ func TestRemoveCandidateStaleHint(t *testing.T) {
 		t.Fatal("RemoveCandidate succeeded on an absent file")
 	}
 }
+
+// TestApplyRunOnInnerNodePath: a path that names only an inner tree
+// node (a split edge, or a file every lane purged while a longer path
+// still hangs off it) holds no file, so a run on it must insert one.
+func TestApplyRunOnInnerNodePath(t *testing.T) {
+	base := New()
+	for _, p := range []string{"/a/file1x", "/a/file1y", "/b/f", "/b/f0"} {
+		if err := base.Insert(p, FileMeta{User: 1, Size: 3, Stripes: 1, ATime: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group, err := NewLaneGroup(base, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := group.Lane(i).Remove("/b/f"); !ok {
+			t.Fatalf("lane %d: remove /b/f", i)
+		}
+	}
+	runs := []struct {
+		path   string
+		create bool
+		miss   uint64
+	}{
+		{"/a/file1", true, 0}, // the split node between file1x and file1y
+		{"/b/f", false, 0b11}, // purged by both lanes; /b/f0 keeps its node
+	}
+	for pid, r := range runs {
+		ev := RunEvent{User: 2, Size: 9, TS: 5, Create: r.create}
+		if miss := group.ApplyRun(int32(pid), r.path, []RunEvent{ev}); miss != r.miss {
+			t.Fatalf("%s: miss mask %b, want %b", r.path, miss, r.miss)
+		}
+		for i := 0; i < 2; i++ {
+			m, ok := group.Lane(i).Lookup(r.path)
+			if !ok || m.User != 2 || m.Size != 9 {
+				t.Fatalf("lane %d: Lookup(%s) = %+v, %v after the run", i, r.path, m, ok)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got := group.Lane(i).Count(); got != 5 {
+			t.Fatalf("lane %d: Count %d, want 5", i, got)
+		}
+	}
+}

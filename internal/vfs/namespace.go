@@ -37,7 +37,8 @@ type Namespace interface {
 	CloneNS() Namespace
 	SetProbe(p obs.VFSProbe)
 	TrackDirty()
-	TakeDirty() []string
+	AppendDirty(dst []DirtyEntry) []DirtyEntry
+	ResetDirty()
 }
 
 // CloneNS implements Namespace for *FS callers that only know the

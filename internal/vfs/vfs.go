@@ -156,18 +156,24 @@ type FS struct {
 	// every lane, and a slice index beats a map probe there. A user
 	// with dFiles[u] == 0 owns nothing in this lane — the same
 	// observable state the private maps express by deleting the key.
-	dBytes []int64
-	dFiles []int64
-	index     map[trace.UserID]*userIndex
-	scratch   []liveEntry // reused across StaleFiles bucket compactions
+	dBytes  []int64
+	dFiles  []int64
+	index   map[trace.UserID]*userIndex
+	scratch []liveEntry // reused across StaleFiles bucket compactions
 	// probe holds the optional hot-path observability counters. The
 	// zero value is fully inert (nil counters discard increments), so
 	// an unobserved FS pays one predictable branch per operation.
 	probe obs.VFSProbe
 	// dirty, when non-nil, records every path whose state this FS
-	// changed since the last TakeDirty — the working set of a delta
-	// checkpoint. Keys are the interned record paths.
-	dirty map[string]struct{}
+	// changed since the last ResetDirty — the working set of a delta
+	// checkpoint. Keys are the interned record paths; a private FS
+	// maps each to the terminal node holding it (stable for the key's
+	// lifetime, see radix.put) or nil once removed. Lane views map
+	// every key to nil and resolve it with Lookup, since a lane's
+	// metadata may be an override.
+	dirty map[string]*rnode[fileRecord]
+	// dirtyRefs is AppendDirty's reused sort scratch.
+	dirtyRefs []dirtyRef
 
 	// Lane-view state. A private FS leaves all of this zero. A lane
 	// view shares tree and index with its sibling lanes through group
@@ -248,7 +254,7 @@ func (f *FS) Insert(path string, m FileMeta) error {
 		f.indexAdd(m.User, n.value.path, m.ATime, n)
 	}
 	if f.dirty != nil {
-		f.dirty[n.value.path] = struct{}{}
+		f.dirty[n.value.path] = n
 	}
 	f.probe.Inserts.Inc()
 	return nil
@@ -288,7 +294,7 @@ func (f *FS) Touch(path string, at timeutil.Time) bool {
 	}
 	f.probe.Touches.Inc()
 	if f.dirty != nil {
-		f.dirty[n.value.path] = struct{}{}
+		f.dirty[n.value.path] = n
 	}
 	if n.value.meta.ATime == at {
 		return true // no atime change: the index entry stays valid
@@ -319,7 +325,7 @@ func (f *FS) Remove(path string) (FileMeta, bool) {
 		delete(f.userBytes, m.User)
 	}
 	if f.dirty != nil {
-		f.dirty[r.path] = struct{}{}
+		f.dirty[r.path] = nil
 	}
 	f.probe.Removes.Inc()
 	return m, true
@@ -831,25 +837,54 @@ func cloneIndex(index map[trace.UserID]*userIndex) map[trace.UserID]*userIndex {
 // views track their own mutations (ApplyRun effects and Removes).
 func (f *FS) TrackDirty() {
 	if f.dirty == nil {
-		f.dirty = make(map[string]struct{})
+		f.dirty = make(map[string]*rnode[fileRecord])
 	}
 }
 
-// TakeDirty returns the paths mutated since tracking began or the
-// last TakeDirty, sorted, and resets the set. Nil when tracking is
-// off.
-func (f *FS) TakeDirty() []string {
-	if f.dirty == nil {
-		return nil
-	}
-	out := make([]string, 0, len(f.dirty))
-	for p := range f.dirty {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	clear(f.dirty)
-	return out
+// DirtyEntry is one member of the working set: a path mutated since
+// the last ResetDirty and its state now. Live is false when the path
+// no longer holds a file; Meta is then zero.
+type DirtyEntry struct {
+	Path string
+	Meta FileMeta
+	Live bool
 }
+
+// dirtyRef is what AppendDirty sorts: 24 bytes against a
+// DirtyEntry's 56, so the sort moves less memory.
+type dirtyRef struct {
+	path string
+	node *rnode[fileRecord]
+}
+
+// AppendDirty appends the working set to dst in ascending path order
+// and returns the extended slice. It leaves the set as it is; nil
+// tracking appends nothing. A private FS reads each path's state off
+// the node it recorded with the mark, so no path is looked up again.
+func (f *FS) AppendDirty(dst []DirtyEntry) []DirtyEntry {
+	refs := f.dirtyRefs[:0]
+	for p, n := range f.dirty {
+		refs = append(refs, dirtyRef{path: p, node: n})
+	}
+	slices.SortFunc(refs, func(a, b dirtyRef) int { return strings.Compare(a.path, b.path) })
+	for _, r := range refs {
+		e := DirtyEntry{Path: r.path}
+		switch {
+		case f.group != nil:
+			e.Meta, e.Live = f.Lookup(r.path)
+		case r.node != nil:
+			e.Meta, e.Live = r.node.value.meta, true
+		}
+		dst = append(dst, e)
+	}
+	clear(refs) // drop the removed paths' strings
+	f.dirtyRefs = refs[:0]
+	return dst
+}
+
+// ResetDirty empties the working set: the state it described is now
+// captured (a checkpoint was published).
+func (f *FS) ResetDirty() { clear(f.dirty) }
 
 // Stats summarizes the index footprint of the prefix tree — the
 // memory-efficiency measure of the paper's Figure 12a.
